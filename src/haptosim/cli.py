@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract:
 0 success, 2 config error, 3 breakdown, 4 fixed-point nonconvergence,
-5 verification failure (1 is reserved for unexpected errors).
+5 verification failure, 6 linear-solve failure (1 is reserved for
+unexpected errors).  A run stopped by nonconvergence or a linear-solve
+failure still writes ``diagnostics.csv`` up to its last committed step.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ EXIT_CONFIG = 2
 EXIT_BREAKDOWN = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_VERIFY = 5
+EXIT_SOLVE = 6
 
 ORDER_STUDY_DTS = (0.1, 0.05, 0.025, 0.0125)
 ELEMENT_TOL = 1e-13
@@ -53,6 +56,17 @@ def _emit_outputs(config: RunConfig, result: stepper.RunResult) -> None:
         iocfg.write_vtk(result.state, out / f"breakdown_t{result.breakdown.time:g}.vtk")
 
 
+def _emit_early_stop(config: RunConfig, exc) -> int:
+    """Write the diagnostics of the steps committed before a failed step;
+    return the exit code of the failure."""
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    iocfg.write_diagnostics_csv(exc.records, out / "diagnostics.csv")
+    if isinstance(exc, stepper.NonconvergenceError):
+        return EXIT_NONCONVERGENCE
+    return EXIT_SOLVE
+
+
 def _cadence_writer(config: RunConfig):
     """Per-step VTK emission every ``vtk_every`` steps (0 disables it)."""
     if config.vtk_every <= 0:
@@ -79,7 +93,10 @@ def cmd_run(args) -> int:
         )
     except stepper.NonconvergenceError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        return _emit_early_stop(config, exc)
+    except stepper.StepError as exc:
+        print(f"linear-solve failure: {exc}", file=sys.stderr)
+        return _emit_early_stop(config, exc)
     _emit_outputs(config, result)
     if result.breakdown is not None:
         b = result.breakdown
@@ -116,8 +133,8 @@ def _sweep_child(pairs, key_values, out_dir):
         return EXIT_CONFIG, {"error": str(exc)}
     try:
         result = stepper.run(config)
-    except stepper.NonconvergenceError as exc:
-        return EXIT_NONCONVERGENCE, {"error": str(exc)}
+    except (stepper.NonconvergenceError, stepper.StepError) as exc:
+        return _emit_early_stop(config, exc), {"error": str(exc)}
     _emit_outputs(config, result)
     peaks = {}
     for t in config.snapshots:

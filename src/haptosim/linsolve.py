@@ -1,17 +1,28 @@
 """Sparse CSR storage and the linear-solve contract for the implicit steps.
 
 ``solve`` guarantees a relative residual  ||Ax - b|| / max(||b||, eps)  below
-``tol_lin`` or raises :class:`SolverFailure`.  The mechanism behind the
-contract: a sparse LU factorization for systems up to ``DIRECT_LIMIT``
-unknowns, and Jacobi-preconditioned BiCGSTAB with an LU fallback above that
-(the systems produced by the time stepper are mass-dominated, so the Krylov
-path converges in a few dozen iterations).  Both paths verify the residual
-explicitly.
+``tol_lin`` or raises :class:`SolverFailure`.  The mechanisms behind the
+contract, in the order they are tried:
+
+* a caller-supplied exact inverse (``inverse=``; the stepper passes the
+  Kronecker-factored inverse of the scaled mass matrix for the protease
+  system), accepted when its result meets the contract;
+* dense elimination for systems up to ``DENSE_LIMIT`` unknowns;
+* a sparse LU factorization up to ``DIRECT_LIMIT`` unknowns;
+* above that, preconditioned BiCGSTAB (CG with ``spd=True``) with one
+  tighter retry and an LU fallback.  The preconditioner is Jacobi unless the
+  caller supplies one (``precond=``; the stepper passes the inverse mass
+  matrix for the matrix-density system).  The systems produced by the time
+  stepper are mass-dominated, so this path converges in a few dozen
+  iterations.
+
+Every path verifies the residual explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,6 +83,12 @@ class CsrMatrix:
             raise SparseFormatError("non-finite stored value")
 
     def to_scipy(self) -> sp.csr_matrix:
+        """The scipy form, built on first use and then shared (the matrix is
+        immutable), so a matrix reused across solves converts once."""
+        return self._scipy
+
+    @cached_property
+    def _scipy(self) -> sp.csr_matrix:
         return sp.csr_matrix(
             (self.data, self.indices, self.indptr), shape=(self.n, self.n)
         )
@@ -164,30 +181,35 @@ def _solve_direct(a_scipy, b):
     return lu.solve(b)
 
 
-def _solve_krylov(a_scipy, b, tol_lin, x0=None, spd=False):
-    diag = a_scipy.diagonal()
-    if np.any(diag == 0.0):
-        return None
-    precond = spla.LinearOperator(
-        a_scipy.shape, matvec=lambda v, d=1.0 / diag: d * v
-    )
+def _solve_krylov(a_scipy, b, tol_lin, x0=None, spd=False, precond=None):
+    if precond is None:  # Jacobi
+        diag = a_scipy.diagonal()
+        if np.any(diag == 0.0):
+            return None
+        precond = lambda v, d=1.0 / diag: d * v
     krylov = spla.cg if spd else spla.bicgstab
     x, info = krylov(
         a_scipy, b, x0=x0, rtol=max(tol_lin * 0.2, 1e-14), atol=0.0,
-        maxiter=400, M=precond,
+        maxiter=400, M=spla.LinearOperator(a_scipy.shape, matvec=precond),
     )
     if info < 0 or not np.isfinite(x).all():
         return None
     return x
 
 
-def solve(a: CsrMatrix, b, tol_lin=1e-12, method="auto", x0=None, spd=False) -> np.ndarray:
+def solve(
+    a: CsrMatrix, b, tol_lin=1e-12, method="auto", x0=None, spd=False,
+    inverse=None, precond=None,
+) -> np.ndarray:
     """Solve A x = b to relative residual <= tol_lin.
 
     ``method`` is "auto" (direct below DIRECT_LIMIT unknowns, otherwise
     Krylov with direct fallback), "direct", or "iterative".  ``x0`` warm-
     starts the Krylov path; ``spd=True`` selects conjugate gradients there.
-    Neither affects the residual contract.
+    ``inverse`` (a function b -> A^-1 b) is tried before any other path;
+    ``precond`` (a function approximating v -> A^-1 v) replaces Jacobi as
+    the Krylov preconditioner.  None of these affects the residual contract:
+    a result that misses tol_lin falls through to the next path.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (a.n,):
@@ -200,6 +222,11 @@ def solve(a: CsrMatrix, b, tol_lin=1e-12, method="auto", x0=None, spd=False) -> 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(a.n)
+
+    if inverse is not None:
+        x = inverse(b)
+        if np.isfinite(x).all() and _relative_residual(a.to_scipy(), x, b, bnorm) <= tol_lin:
+            return x
 
     if method == "auto" and a.n <= DENSE_LIMIT:
         # tiny systems (single-element meshes, unit tests): dense elimination
@@ -223,11 +250,11 @@ def solve(a: CsrMatrix, b, tol_lin=1e-12, method="auto", x0=None, spd=False) -> 
     if method == "auto":
         method = "direct" if a.n <= DIRECT_LIMIT else "iterative"
     if method == "iterative":
-        x = _solve_krylov(a_scipy, b, tol_lin, x0=x0, spd=spd)
+        x = _solve_krylov(a_scipy, b, tol_lin, x0=x0, spd=spd, precond=precond)
         if x is not None and _relative_residual(a_scipy, x, b, bnorm) <= tol_lin:
             return x
         # one tighter Krylov retry before paying for a sparse factorization
-        x = _solve_krylov(a_scipy, b, tol_lin * 1e-2, x0=x0, spd=spd)
+        x = _solve_krylov(a_scipy, b, tol_lin * 1e-2, x0=x0, spd=spd, precond=precond)
         if x is not None and _relative_residual(a_scipy, x, b, bnorm) <= tol_lin:
             return x
         method = "direct"  # fallback

@@ -21,6 +21,7 @@ gracefully with a :class:`BreakdownReport`; exceeding the sweep budget raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,20 +33,30 @@ from .model import Parameters, SimState, interpolate_initial_state
 
 
 class StepError(RuntimeError):
-    """A linear solve failed inside a time step."""
+    """A linear solve failed inside a time step.
+
+    Raised from :func:`simulate`, ``records`` holds the diagnostics of the
+    steps committed before the failure.
+    """
 
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+        self.records: list[StepRecord] = []
 
 
 class NonconvergenceError(RuntimeError):
-    """The fixed-point sweep exhausted its iteration budget."""
+    """The fixed-point sweep exhausted its iteration budget.
+
+    Raised from :func:`simulate`, ``records`` holds the diagnostics of the
+    steps committed before the failure.
+    """
 
     def __init__(self, message, time, residual_history):
         super().__init__(message)
         self.time = time
         self.residual_history = residual_history
+        self.records: list[StepRecord] = []
 
 
 @dataclass(frozen=True)
@@ -108,6 +119,22 @@ class Operators:
         self.stiffness = fem.assemble_stiffness(mesh, self.plan)
         # integral of each basis function; masses are dot products with this
         self.mass_vector = self.mass.matvec(np.ones(mesh.n_nodes))
+        self._scaled_mass = None
+
+    @cached_property
+    def mass_inverse(self):
+        """b -> M^-1 b, built on first use rather than with the operators."""
+        return fem.mass_inverse(self.mesh)
+
+    def scaled_mass(self, factor) -> CsrMatrix:
+        """factor * M, held for the last factor asked for, so that the
+        constant protease matrix and its scipy form are built once per run."""
+        if self._scaled_mass is None or self._scaled_mass[0] != factor:
+            m = self.mass
+            self._scaled_mass = (
+                factor, CsrMatrix(m.n, m.indptr, m.indices, factor * m.data)
+            )
+        return self._scaled_mass[1]
 
     def weighted_mass(self, w) -> CsrMatrix:
         return fem.assemble_weighted_mass(self.mesh, w, self.plan)
@@ -188,7 +215,8 @@ def _c_rhs(ops, params, cn, pn) -> np.ndarray:
 
 def _c_solve(ops, params, p_it, rhs, x0=None) -> np.ndarray:
     lhs = _c_system_matrix(ops, params, p_it, params.theta * params.dt)
-    return _solve(lhs, rhs, params, x0=x0)
+    # M + theta dt W(p) is mass-dominated: M^-1 preconditions it on the Krylov path
+    return _solve(lhs, rhs, params, x0=x0, precond=ops.mass_inverse)
 
 
 def step_p(p_prev, u_prev, c_prev, u_iter, c_iter, params: Parameters, ops: Operators) -> FeField:
@@ -219,16 +247,18 @@ def _p_solve(ops, params, u_it, c_it, rhs_const, x0=None) -> np.ndarray:
     rhs = rhs_const
     if implicit != 0.0:
         rhs = rhs + implicit * ops.product_load(u_it, c_it)
-    lhs = CsrMatrix(
-        ops.mass.n, ops.mass.indptr, ops.mass.indices, (1.0 + implicit) * ops.mass.data
+    scale = 1.0 + implicit
+    # the scaled mass matrix is symmetric positive definite, and its inverse
+    # is known exactly
+    return _solve(
+        ops.scaled_mass(scale), rhs, params, x0=x0, spd=True,
+        inverse=lambda b: ops.mass_inverse(b) / scale,
     )
-    # the scaled mass matrix is symmetric positive definite
-    return _solve(lhs, rhs, params, x0=x0, spd=True)
 
 
-def _solve(lhs, rhs, params, x0=None, spd=False) -> np.ndarray:
+def _solve(lhs, rhs, params, **kwargs) -> np.ndarray:
     try:
-        return linsolve.solve(lhs, rhs, tol_lin=params.tol_lin, x0=x0, spd=spd)
+        return linsolve.solve(lhs, rhs, tol_lin=params.tol_lin, **kwargs)
     except linsolve.SolverFailure as exc:
         raise StepError(f"linear solve failed: {exc}") from exc
 
@@ -376,8 +406,10 @@ def simulate(
     Snapshot times must land on step boundaries.  Diagnostics are recorded
     for the initial state and every completed step (diagnostics row ``n``
     belongs to step ``n``); on breakdown the partial results are returned
-    together with the report.  ``on_step(step_index, state)``, when given,
-    is called after every committed step.
+    together with the report.  A :class:`NonconvergenceError` or
+    :class:`StepError` carries the records of the steps committed before it.
+    ``on_step(step_index, state)``, when given, is called after every
+    committed step.
     """
     ops = ops or Operators(state0.mesh)
     n_steps = int(round(params.t_final / params.dt))
@@ -399,7 +431,11 @@ def simulate(
         snapshots.append((state.t, state.copy()))
 
     for n in range(1, n_steps + 1):
-        new_state, report = fixed_point_advance(state, params, ops, backtrack=backtrack)
+        try:
+            new_state, report = fixed_point_advance(state, params, ops, backtrack=backtrack)
+        except (NonconvergenceError, StepError) as exc:
+            exc.records = records
+            raise
         new_state.t = state0.t + n * params.dt  # drift-free step times
         if report.breakdown is not None:
             records.append(

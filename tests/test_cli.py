@@ -91,6 +91,30 @@ def test_run_nonconvergence_exit_code(tmp_path, capsys):
     assert "nonconvergence" in capsys.readouterr().err
 
 
+def test_run_nonconvergence_leaves_partial_diagnostics(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = cli.main(
+        ["run", "--set", "max_fp_iters=3", "--set", "t_final=2", "--out", str(out)]
+    )
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert "nonconvergence" in capsys.readouterr().err
+    data = read_diagnostics_csv(out / "diagnostics.csv")  # checks the header
+    np.testing.assert_array_equal(data["time"], [0.0])
+    assert data["fp_iters"][0] == 0 and data["breakdown"][0] == 0
+
+
+def test_run_linear_solve_failure_exit_code(tmp_path, capsys):
+    # no solve reaches a relative residual of 1e-30
+    out = tmp_path / "o"
+    code = cli.main(
+        ["run", "--set", "tol_lin=1e-30", "--set", "t_final=1", "--out", str(out)]
+    )
+    assert code == cli.EXIT_SOLVE == 6
+    assert "linear-solve failure" in capsys.readouterr().err
+    data = read_diagnostics_csv(out / "diagnostics.csv")
+    np.testing.assert_array_equal(data["time"], [0.0])
+
+
 def test_run_vtk_cadence(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -137,6 +161,23 @@ def test_sweep_records_child_failures_and_continues(tmp_path):
     second = lines[2].split(",")
     assert first[-1] == str(cli.EXIT_BREAKDOWN) and first[-2] == "1"
     assert second[-1] == "0" and second[-2] == "0"
+
+
+def test_sweep_member_solve_failure_gets_its_code_and_others_run(tmp_path):
+    cfg = write_config(tmp_path, "refinements = 1\nt_final = 2\nsnapshots = 1\n")
+    out = tmp_path / "sweep"
+    code = cli.main(
+        ["sweep", "--config", cfg, "--axis", "tol_lin=1e-30,1e-12", "--out", str(out)]
+    )
+    assert code == cli.EXIT_SOLVE
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert len(lines) == 3
+    failed = lines[1].split(",")
+    passed = lines[2].split(",")
+    assert failed[0] == "1e-30" and failed[-1] == str(cli.EXIT_SOLVE)
+    assert passed[0] == "1e-12" and passed[-2:] == ["0", "0"] and passed[1] != ""
+    partial = read_diagnostics_csv(out / "tol_lin-1e-30" / "diagnostics.csv")
+    np.testing.assert_array_equal(partial["time"], [0.0])
 
 
 def test_sweep_reproducible_summary(tmp_path):

@@ -18,6 +18,7 @@ from haptosim.fem import (
     element_stiffness,
     element_weighted_mass,
     gauss_rule,
+    mass_inverse,
 )
 from haptosim.mesh import build_structured_mesh
 
@@ -298,3 +299,23 @@ def test_weighted_mass_symmetry_assembled():
     w = rng.uniform(-1, 1, mesh.n_nodes)
     mat = assemble_weighted_mass(mesh, w).toarray()
     assert np.max(np.abs(mat - mat.T)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "dim, extents, cells, refinements",
+    [
+        (2, ((0.0, 20.0), (0.0, 20.0)), (1, 1), 5),  # the 32x32 reference box
+        (3, ((0.0, 1.0), (-1.0, 1.5), (2.0, 6.0)), (3, 4, 5), 0),  # unequal axes
+        (2, ((0.0, 1.0), (0.0, 1.0)), (1, 1), 0),  # single element
+        (3, ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), (1, 1, 1), 0),
+    ],
+)
+def test_mass_inverse_inverts_assembled_mass(dim, extents, cells, refinements):
+    mesh = build_structured_mesh(dim, extents, cells, refinements)
+    m = assemble_mass(mesh).to_scipy()
+    apply = mass_inverse(mesh)
+    rng = np.random.default_rng(7)
+    for b in (rng.standard_normal(mesh.n_nodes), m @ rng.uniform(0.0, 1.0, mesh.n_nodes)):
+        x = apply(b)
+        assert x.shape == b.shape
+        assert np.linalg.norm(m @ x - b) / np.linalg.norm(b) <= 1e-14

@@ -180,3 +180,51 @@ def test_warm_start_still_meets_contract():
     exact = solve(m, b)
     warm = solve(m, b, method="iterative", x0=exact + 1e-3, spd=True)
     assert norm2(m.matvec(warm) - b) / norm2(b) <= 1e-12
+
+
+def _mass_system(cells):
+    mesh = build_structured_mesh(2, ((0.0, 1.0), (0.0, 1.0)), (cells, cells), 0)
+    m = assemble_mass(mesh)
+    b = np.random.default_rng(3).standard_normal(m.n)
+    return m, b
+
+
+def test_exact_inverse_is_used_without_factoring(monkeypatch):
+    m, b = _mass_system(8)
+    dense_inv = np.linalg.inv(m.toarray())
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("an exact inverse should need no factorization")
+
+    monkeypatch.setattr(linsolve.spla, "splu", no_factorization)
+    x = solve(m, b, inverse=lambda v: dense_inv @ v)
+    np.testing.assert_array_equal(x, dense_inv @ b)
+
+
+@pytest.mark.parametrize("cells, method", [(4, "auto"), (8, "direct"), (12, "iterative")])
+@pytest.mark.parametrize(
+    "wrong",
+    [lambda v: v, lambda v: np.zeros_like(v), lambda v: np.full_like(v, np.nan)],
+    ids=["identity", "zero", "nan"],
+)
+def test_wrong_inverse_falls_through_to_contract(cells, method, wrong):
+    m, b = _mass_system(cells)
+    x = solve(m, b, tol_lin=1e-12, method=method, inverse=wrong)
+    assert norm2(m.matvec(x) - b) / norm2(b) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # zero breaks Krylov
+@pytest.mark.parametrize(
+    "wrong", [lambda v: v, lambda v: np.zeros_like(v), lambda v: -v],
+    ids=["identity", "zero", "negated"],
+)
+@pytest.mark.parametrize("spd", [False, True])
+def test_wrong_preconditioner_still_meets_contract(wrong, spd):
+    m, b = _mass_system(12)
+    x = solve(m, b, tol_lin=1e-12, method="iterative", spd=spd, precond=wrong)
+    assert norm2(m.matvec(x) - b) / norm2(b) <= 1e-12
+
+
+def test_scipy_form_is_built_once_per_matrix():
+    m, _ = _mass_system(2)
+    assert m.to_scipy() is m.to_scipy()

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from haptosim import iocfg, linsolve, stepper
 from haptosim.mesh import build_structured_mesh, interpolate
 from haptosim.model import Parameters, SimState
 from haptosim.stepper import (
@@ -327,3 +329,88 @@ def test_mass_diagnostics_match_field_integral(unit_mesh):
     assert first.mass_u == pytest.approx(2.0, rel=1e-12)  # |domain| = 1
     assert first.mass_c == pytest.approx(1.0, rel=1e-12)
     assert first.mass_p == pytest.approx(0.5, rel=1e-12)
+
+
+def _bump_state(mesh):
+    def bump(x):
+        return float(np.exp(-np.dot(x, x)))
+
+    return SimState(
+        0.0,
+        interpolate(bump, mesh),
+        interpolate(lambda x: 1.0 - 0.5 * bump(x), mesh),
+        interpolate(lambda x: 0.5 * bump(x), mesh),
+    )
+
+
+def test_p_solve_matches_sparse_lu_of_scaled_mass():
+    mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (1, 1), 5)
+    ops = Operators(mesh)
+    params = Parameters(mu=0.5, chi=0.01, epsilon=0.2, theta=0.5, dt=1.0)
+    s = _bump_state(mesh)
+    un, cn, pn = s.u.coeffs, s.c.coeffs, s.p.coeffs
+    rhs_const = stepper._p_rhs_const(ops, params, pn, un, cn)
+    x = stepper._p_solve(ops, params, un, cn, rhs_const)
+
+    implicit = params.theta * params.dt / params.epsilon
+    rhs = rhs_const + implicit * ops.product_load(un, cn)
+    lu = spla.splu(((1.0 + implicit) * ops.mass.to_scipy()).tocsc())
+    ref = lu.solve(rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_c_solve_converges_with_mass_inverse_preconditioner(monkeypatch):
+    mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (1, 1), 3)
+    ops = Operators(mesh)
+    params = Parameters(mu=1.0, chi=1.0, epsilon=0.2, theta=0.5, dt=1.0)
+    s = _bump_state(mesh)
+    lhs = stepper._c_system_matrix(ops, params, s.p.coeffs, params.theta * params.dt)
+    rhs = stepper._c_rhs(ops, params, s.c.coeffs, s.p.coeffs)
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("the preconditioned Krylov solve fell back to LU")
+
+    iterations = []
+    bicgstab = spla.bicgstab
+
+    def counted(*args, **kwargs):
+        iterations.append(0)
+
+        def tick(xk):
+            iterations[-1] += 1
+
+        return bicgstab(*args, callback=tick, **kwargs)
+
+    monkeypatch.setattr(linsolve.spla, "splu", no_factorization)
+    monkeypatch.setattr(linsolve.spla, "bicgstab", counted)
+    x = linsolve.solve(
+        lhs, rhs, tol_lin=params.tol_lin, method="iterative",
+        precond=ops.mass_inverse,
+    )
+    assert np.linalg.norm(lhs.matvec(x) - rhs) / np.linalg.norm(rhs) <= params.tol_lin
+    assert len(iterations) == 1  # converged on the first attempt, no retry
+    jacobi = linsolve.solve(lhs, rhs, tol_lin=params.tol_lin, method="iterative")
+    assert np.linalg.norm(lhs.matvec(jacobi) - rhs) / np.linalg.norm(rhs) <= params.tol_lin
+    assert iterations[0] < iterations[-1]  # fewer iterations than Jacobi's
+
+
+def test_mass_inverse_solves_reproduce_the_factored_path(monkeypatch):
+    """2D reference run to t = 5: the exact p solve and the M^-1-preconditioned
+    c solve commit the same sweep counts as the all-factorization path, and
+    fields within tol_fp."""
+    config = iocfg.parse_config("t_final = 5\nsnapshots =\n")
+    new = run(config)
+
+    solve = linsolve.solve
+
+    def factored(a, b, inverse=None, precond=None, **kwargs):
+        return solve(a, b, **kwargs)
+
+    monkeypatch.setattr(linsolve, "solve", factored)
+    old = run(config)
+
+    assert [r.fp_iters for r in new.diagnostics] == [r.fp_iters for r in old.diagnostics]
+    for name in ("u", "c", "p"):
+        a = getattr(new.state, name).coeffs
+        b = getattr(old.state, name).coeffs
+        assert np.max(np.abs(a - b)) <= config.params.tol_fp

@@ -7,20 +7,14 @@ fixed-point decoupling of the three equations.
 """
 
 from .fem import (
-    assemble,
     assemble_haptotaxis,
     assemble_mass,
     assemble_product_load,
     assemble_stiffness,
     assemble_weighted_mass,
-    element_haptotaxis,
-    element_load_product,
-    element_mass,
-    element_stiffness,
-    element_weighted_mass,
 )
 from .iocfg import RunConfig, parse_config, render_config, write_diagnostics_csv, write_vtk
-from .linsolve import CsrMatrix, SolverFailure, solve, spmv
+from .linsolve import CsrMatrix, SolverFailure, solve
 from .mesh import FeField, StructuredMesh, build_structured_mesh, interpolate
 from .model import (
     InitialData,
@@ -41,9 +35,6 @@ from .stepper import (
     fixed_point_advance,
     run,
     simulate,
-    step_c,
-    step_p,
-    step_u,
 )
 from .verify import (
     element_matrix_crosscheck,
@@ -69,7 +60,6 @@ __all__ = [
     "SolverFailure",
     "StepRecord",
     "StructuredMesh",
-    "assemble",
     "assemble_haptotaxis",
     "assemble_mass",
     "assemble_product_load",
@@ -77,12 +67,7 @@ __all__ = [
     "assemble_weighted_mass",
     "build_structured_mesh",
     "corner_gaussian_initial_data",
-    "element_haptotaxis",
-    "element_load_product",
-    "element_mass",
     "element_matrix_crosscheck",
-    "element_stiffness",
-    "element_weighted_mass",
     "fixed_point_advance",
     "interpolate",
     "interpolate_initial_state",
@@ -94,10 +79,6 @@ __all__ = [
     "scaling_equivalence",
     "simulate",
     "solve",
-    "spmv",
-    "step_c",
-    "step_p",
-    "step_u",
     "temporal_order_study",
     "w_diagnostic",
     "write_diagnostics_csv",

@@ -134,17 +134,24 @@ def _sweep_child(pairs, key_values, out_dir):
     try:
         result = stepper.run(config)
     except (stepper.NonconvergenceError, stepper.StepError) as exc:
-        return _emit_early_stop(config, exc), {"error": str(exc)}
+        code = _emit_early_stop(config, exc)
+        return code, {"peaks": _snapshot_peaks(config, exc.records), "breakdown": 0}
     _emit_outputs(config, result)
+    code = EXIT_BREAKDOWN if result.breakdown is not None else EXIT_OK
+    return code, {
+        "peaks": _snapshot_peaks(config, result.diagnostics),
+        "breakdown": int(result.breakdown is not None),
+    }
+
+
+def _snapshot_peaks(config, records):
+    """max u at each snapshot time the records reach (None past their end)."""
     peaks = {}
     for t in config.snapshots:
         # diagnostics row n belongs to step n, so index by step number
         idx = int(round(t / config.params.dt))
-        peaks[t] = (
-            result.diagnostics[idx].max_u if idx < len(result.diagnostics) else None
-        )
-    code = EXIT_BREAKDOWN if result.breakdown is not None else EXIT_OK
-    return code, {"peaks": peaks, "breakdown": int(result.breakdown is not None)}
+        peaks[t] = records[idx].max_u if idx < len(records) else None
+    return peaks
 
 
 def cmd_sweep(args) -> int:

@@ -1,4 +1,4 @@
-"""Q1 element integrals and deterministic sparse assembly.
+"""Deterministic sparse assembly of the Q1 forms.
 
 All bilinear forms and load vectors needed by the implicit time steps --
 mass, stiffness, nodal-weighted mass, the haptotactic coupling matrix and
@@ -7,9 +7,14 @@ quadrature on the reference cell [0,1]^dim.  Every integrand is a product
 of at most three per-axis-linear factors (degree <= 3 per axis), so this
 rule is exact on axis-aligned elements up to rounding.
 
-Element matrices are dense (2^dim, 2^dim) arrays in the canonical local
-vertex ordering of :mod:`haptosim.mesh`.  For the haptotaxis matrix the row
-index is the test function, the column index the trial function.
+:class:`AssemblyPlan` holds the quadrature tables and the scatter pattern of
+one mesh.  Each ``assemble_*`` function computes the contributions of all
+elements at once, in the canonical local vertex ordering of
+:mod:`haptosim.mesh`, and sums them into one global CSR matrix or vector.
+For the haptotaxis matrix the row index is the test function, the column
+index the trial function.  On a one-element mesh the global form is the
+element form, which is where :func:`haptosim.verify.element_matrix_crosscheck`
+compares these functions with an independent quadrature.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .linsolve import CsrMatrix
 from .mesh import FeField, StructuredMesh
@@ -103,74 +109,6 @@ def _tables(dim: int, points_per_axis: int = 2):
     return wq, phi, dphi
 
 
-def _check_sizes(sizes) -> np.ndarray:
-    s = np.asarray(sizes, dtype=float)
-    if s.ndim != 1 or len(s) not in (2, 3):
-        raise AssemblyError(f"element sizes must be 2 or 3 edge lengths, got {s!r}")
-    if not np.isfinite(s).all() or np.any(s <= 0.0):
-        raise AssemblyError(f"degenerate element with edge lengths {tuple(s)}")
-    return s
-
-
-def _check_nodal(values, nl, name) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if v.shape != (nl,):
-        raise AssemblyError(f"{name} must hold {nl} nodal values, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise AssemblyError(f"non-finite nodal values in {name}")
-    return v
-
-
-def element_mass(sizes) -> np.ndarray:
-    """Entries  int phi_i phi_j  over one axis-aligned element."""
-    s = _check_sizes(sizes)
-    wq, phi, _ = _tables(len(s))
-    return float(np.prod(s)) * np.einsum("q,qi,qj->ij", wq, phi, phi)
-
-
-def element_stiffness(sizes) -> np.ndarray:
-    """Entries  int grad phi_i . grad phi_j."""
-    s = _check_sizes(sizes)
-    wq, _, dphi = _tables(len(s))
-    inv2 = 1.0 / (s * s)
-    return float(np.prod(s)) * np.einsum(
-        "q,qid,qjd,d->ij", wq, dphi, dphi, inv2, optimize=True
-    )
-
-
-def element_weighted_mass(sizes, w) -> np.ndarray:
-    """Entries  int w_h phi_i phi_j  with w_h the Q1 interpolant of w."""
-    s = _check_sizes(sizes)
-    wq, phi, _ = _tables(len(s))
-    wn = _check_nodal(w, phi.shape[1], "weight")
-    w_at = phi @ wn
-    return float(np.prod(s)) * np.einsum("q,q,qi,qj->ij", wq, w_at, phi, phi)
-
-
-def element_haptotaxis(sizes, c) -> np.ndarray:
-    """Entries  int phi_i (grad c_h . grad phi_j);  row = test index j."""
-    s = _check_sizes(sizes)
-    dim = len(s)
-    wq, phi, dphi = _tables(dim)
-    cn = _check_nodal(c, phi.shape[1], "matrix-density coefficients")
-    inv = 1.0 / s
-    grad_c = np.einsum("l,qld,d->qd", cn, dphi, inv)  # physical gradient at qp
-    return float(np.prod(s)) * np.einsum(
-        "q,qd,qjd,d,qi->ji", wq, grad_c, dphi, inv, phi, optimize=True
-    )
-
-
-def element_load_product(sizes, a, b) -> np.ndarray:
-    """Entries  int a_h b_h phi_j  of the product load vector."""
-    s = _check_sizes(sizes)
-    wq, phi, _ = _tables(len(s))
-    an = _check_nodal(a, phi.shape[1], "first factor")
-    bn = _check_nodal(b, phi.shape[1], "second factor")
-    return float(np.prod(s)) * np.einsum(
-        "q,q,q,qj->j", wq, phi @ an, phi @ bn, phi
-    )
-
-
 def _coefficients(values, mesh, name) -> np.ndarray:
     if isinstance(values, FeField):
         if values.mesh is not mesh:
@@ -237,11 +175,14 @@ class AssemblyPlan:
         self.slot = np.empty(len(rows), dtype=np.int64)
         self.slot[order] = pair_id
         self.nnz = int(pair_id[-1]) + 1
-        unique_rows = rs[new_pair]
-        self.indices = np.ascontiguousarray(cs[new_pair])
-        self.indptr = np.searchsorted(
-            unique_rows, np.arange(mesh.n_nodes + 1)
-        ).astype(self.indices.dtype)
+        indptr = np.searchsorted(rs[new_pair], np.arange(mesh.n_nodes + 1))
+        # keep the index arrays in the dtype scipy picks for this pattern, so
+        # that the scipy form of every assembled matrix shares them
+        pattern = sp.csr_matrix(
+            (np.zeros(self.nnz), cs[new_pair], indptr),
+            shape=(mesh.n_nodes, mesh.n_nodes),
+        )
+        self.indices, self.indptr = pattern.indices, pattern.indptr
         self.indices.flags.writeable = False
         self.indptr.flags.writeable = False
 
@@ -345,18 +286,3 @@ def mass_inverse(mesh: StructuredMesh):
 
     return apply
 
-
-def assemble(kind, mesh, plan=None, **coefficients):
-    """Assemble a named global form: one of 'mass', 'stiffness',
-    'weighted_mass' (w=...), 'haptotaxis' (c=...), 'product_load' (a=..., b=...).
-    """
-    forms = {
-        "mass": assemble_mass,
-        "stiffness": assemble_stiffness,
-        "weighted_mass": assemble_weighted_mass,
-        "haptotaxis": assemble_haptotaxis,
-        "product_load": assemble_product_load,
-    }
-    if kind not in forms:
-        raise AssemblyError(f"unknown form kind {kind!r}")
-    return forms[kind](mesh, plan=plan, **coefficients)

@@ -1,5 +1,9 @@
 """Sparse CSR storage and the linear-solve contract for the implicit steps.
 
+The module holds what the time stepper calls and nothing else: the
+:class:`CsrMatrix` that :mod:`haptosim.fem` assembles, :func:`combine` for
+linear combinations of matrices that share one pattern, and :func:`solve`.
+
 ``solve`` guarantees a relative residual  ||Ax - b|| / max(||b||, eps)  below
 ``tol_lin`` or raises :class:`SolverFailure`.  The mechanisms behind the
 contract, in the order they are tried:
@@ -16,7 +20,7 @@ contract, in the order they are tried:
   stepper are mass-dominated, so this path converges in a few dozen
   iterations.
 
-Every path verifies the residual explicitly.
+Every path ends in the same explicit residual check.
 """
 
 from __future__ import annotations
@@ -31,10 +35,6 @@ import scipy.sparse.linalg as spla
 DENSE_LIMIT = 64
 DIRECT_LIMIT = 10_000
 _EPS = float(np.finfo(float).eps)
-
-
-class SparseFormatError(ValueError):
-    """Structurally invalid CSR data."""
 
 
 class SolverFailure(RuntimeError):
@@ -62,26 +62,6 @@ class CsrMatrix:
     def nnz(self) -> int:
         return len(self.data)
 
-    def validate(self) -> None:
-        if self.indptr.shape != (self.n + 1,) or self.indptr[0] != 0:
-            raise SparseFormatError("row offsets must have length n+1 and start at 0")
-        if self.indptr[-1] != len(self.indices) or len(self.indices) != len(self.data):
-            raise SparseFormatError("offsets, indices and values are inconsistent")
-        if np.any(np.diff(self.indptr) < 0):
-            raise SparseFormatError("row offsets must be nondecreasing")
-        if len(self.indices) and (
-            self.indices.min() < 0 or self.indices.max() >= self.n
-        ):
-            raise SparseFormatError("column index out of range")
-        for i in range(self.n):
-            cols = self.indices[self.indptr[i] : self.indptr[i + 1]]
-            if np.any(np.diff(cols) <= 0):
-                raise SparseFormatError(
-                    f"row {i}: column indices not strictly increasing"
-                )
-        if not np.isfinite(self.data).all():
-            raise SparseFormatError("non-finite stored value")
-
     def to_scipy(self) -> sp.csr_matrix:
         """The scipy form, built on first use and then shared (the matrix is
         immutable), so a matrix reused across solves converts once."""
@@ -94,54 +74,11 @@ class CsrMatrix:
         )
 
     def matvec(self, x) -> np.ndarray:
-        return spmv(self, x)
-
-    def diagonal(self) -> np.ndarray:
-        return self.to_scipy().diagonal()
-
-    def toarray(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-
-def from_coo(n, rows, cols, values) -> CsrMatrix:
-    """Build a CSR matrix from triplets, summing duplicate entries."""
-    m = sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
-    return CsrMatrix(n, m.indptr.copy(), m.indices.copy(), m.data.copy())
-
-
-def from_dense(a) -> CsrMatrix:
-    a = np.asarray(a, dtype=float)
-    m = sp.csr_matrix(a)
-    m.sort_indices()
-    return CsrMatrix(a.shape[0], m.indptr.copy(), m.indices.copy(), m.data.copy())
-
-
-def spmv(a: CsrMatrix, x) -> np.ndarray:
-    """Sparse matrix-vector product."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (a.n,):
-        raise ValueError(f"vector has shape {x.shape}, matrix is {a.n}x{a.n}")
-    return a.to_scipy() @ x
-
-
-def axpy(alpha, x, y) -> np.ndarray:
-    """alpha*x + y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return alpha * x + y
-
-
-def norm2(x) -> float:
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
-
-
-def norm_inf(x) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(np.max(np.abs(x))) if x.size else 0.0
+        """Sparse matrix-vector product."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError(f"vector has shape {x.shape}, matrix is {self.n}x{self.n}")
+        return self.to_scipy() @ x
 
 
 def combine(terms) -> CsrMatrix:
@@ -229,37 +166,28 @@ def solve(
             return x
 
     if method == "auto" and a.n <= DENSE_LIMIT:
-        # tiny systems (single-element meshes, unit tests): dense elimination
-        dense = np.zeros((a.n, a.n))
-        for i in range(a.n):
-            cols = a.indices[a.indptr[i] : a.indptr[i + 1]]
-            dense[i, cols] = a.data[a.indptr[i] : a.indptr[i + 1]]
+        # tiny systems (single-element meshes, unit tests): dense elimination,
+        # with no scipy form built
+        a_op = np.zeros((a.n, a.n))
+        a_op[np.repeat(np.arange(a.n), np.diff(a.indptr)), a.indices] = a.data
         try:
-            x = np.linalg.solve(dense, b)
+            x = np.linalg.solve(a_op, b)
         except np.linalg.LinAlgError:
             raise SolverFailure("dense solve failed: singular matrix", np.inf)
-        residual = float(np.linalg.norm(dense @ x - b)) / max(bnorm, _EPS)
-        if not np.isfinite(x).all() or residual > tol_lin:
-            raise SolverFailure(
-                f"linear solve reached relative residual {residual:.3e} > {tol_lin:.1e}",
-                residual,
-            )
-        return x
-
-    a_scipy = a.to_scipy()
-    if method == "auto":
-        method = "direct" if a.n <= DIRECT_LIMIT else "iterative"
-    if method == "iterative":
-        x = _solve_krylov(a_scipy, b, tol_lin, x0=x0, spd=spd, precond=precond)
-        if x is not None and _relative_residual(a_scipy, x, b, bnorm) <= tol_lin:
-            return x
-        # one tighter Krylov retry before paying for a sparse factorization
-        x = _solve_krylov(a_scipy, b, tol_lin * 1e-2, x0=x0, spd=spd, precond=precond)
-        if x is not None and _relative_residual(a_scipy, x, b, bnorm) <= tol_lin:
-            return x
-        method = "direct"  # fallback
-    x = _solve_direct(a_scipy, b)
-    residual = _relative_residual(a_scipy, x, b, bnorm)
+    else:
+        a_op = a.to_scipy()
+        if method == "auto":
+            method = "direct" if a.n <= DIRECT_LIMIT else "iterative"
+        if method == "iterative":
+            x = _solve_krylov(a_op, b, tol_lin, x0=x0, spd=spd, precond=precond)
+            if x is not None and _relative_residual(a_op, x, b, bnorm) <= tol_lin:
+                return x
+            # one tighter Krylov retry before paying for a sparse factorization
+            x = _solve_krylov(a_op, b, tol_lin * 1e-2, x0=x0, spd=spd, precond=precond)
+            if x is not None and _relative_residual(a_op, x, b, bnorm) <= tol_lin:
+                return x
+        x = _solve_direct(a_op, b)  # also the Krylov fallback
+    residual = _relative_residual(a_op, x, b, bnorm)
     if not np.isfinite(x).all() or residual > tol_lin:
         raise SolverFailure(
             f"linear solve reached relative residual {residual:.3e} > {tol_lin:.1e}",

@@ -8,8 +8,8 @@ local vertex ordering of every element is fixed:
 * 3D: bottom face counterclockwise (seen from +z), then the top face in the
   same rotational order.
 
-This matches the reference-cell corner ordering used by the element
-integrals in :mod:`haptosim.fem` and the VTK quad/hexahedron conventions.
+This matches the reference-cell corner ordering used by the assembly in
+:mod:`haptosim.fem` and the VTK quad/hexahedron conventions.
 """
 
 from __future__ import annotations

@@ -110,7 +110,6 @@ def corner_gaussian_initial_data() -> InitialData:
 
 INITIAL_FAMILIES = {
     "corner-gaussian": corner_gaussian_initial_data,
-    "paper-gaussian": corner_gaussian_initial_data,
 }
 
 

@@ -166,23 +166,6 @@ def _c_system_matrix(ops, params, p_coeffs, dt_factor) -> CsrMatrix:
     )
 
 
-def step_u(u_prev, c_prev, u_iter, c_iter, params: Parameters, ops: Operators) -> FeField:
-    """One linearized solve for the new cell density.
-
-    ``u_prev, c_prev`` are the committed fields of the previous time level;
-    ``u_iter, c_iter`` the current fixed-point iterates entering the drift
-    and logistic terms.
-    """
-    for f in (u_prev, c_prev, u_iter, c_iter):
-        if f.mesh is not ops.mesh:
-            raise ValueError("fields must live on the operator mesh")
-    rhs = _u_rhs(ops, params, u_prev.coeffs, c_prev.coeffs)
-    return FeField(
-        ops.mesh,
-        _u_solve(ops, params, u_iter.coeffs, c_iter.coeffs, rhs, x0=u_prev.coeffs),
-    )
-
-
 def _u_rhs(ops, params, un, cn) -> np.ndarray:
     if params.theta == 1.0:  # no explicit contribution
         return ops.mass.matvec(un)
@@ -193,17 +176,6 @@ def _u_rhs(ops, params, un, cn) -> np.ndarray:
 def _u_solve(ops, params, u_it, c_it, rhs, x0=None) -> np.ndarray:
     lhs = _u_system_matrix(ops, params, u_it, c_it, params.theta * params.dt)
     return _solve(lhs, rhs, params, x0=x0)
-
-
-def step_c(c_prev, p_prev, p_iter, params: Parameters, ops: Operators) -> FeField:
-    """One solve for the new matrix density, with the protease iterate frozen."""
-    for f in (c_prev, p_prev, p_iter):
-        if f.mesh is not ops.mesh:
-            raise ValueError("fields must live on the operator mesh")
-    rhs = _c_rhs(ops, params, c_prev.coeffs, p_prev.coeffs)
-    return FeField(
-        ops.mesh, _c_solve(ops, params, p_iter.coeffs, rhs, x0=c_prev.coeffs)
-    )
 
 
 def _c_rhs(ops, params, cn, pn) -> np.ndarray:
@@ -217,18 +189,6 @@ def _c_solve(ops, params, p_it, rhs, x0=None) -> np.ndarray:
     lhs = _c_system_matrix(ops, params, p_it, params.theta * params.dt)
     # M + theta dt W(p) is mass-dominated: M^-1 preconditions it on the Krylov path
     return _solve(lhs, rhs, params, x0=x0, precond=ops.mass_inverse)
-
-
-def step_p(p_prev, u_prev, c_prev, u_iter, c_iter, params: Parameters, ops: Operators) -> FeField:
-    """One solve for the new protease level from the production balance."""
-    for f in (p_prev, u_prev, c_prev, u_iter, c_iter):
-        if f.mesh is not ops.mesh:
-            raise ValueError("fields must live on the operator mesh")
-    rhs = _p_rhs_const(ops, params, p_prev.coeffs, u_prev.coeffs, c_prev.coeffs)
-    return FeField(
-        ops.mesh,
-        _p_solve(ops, params, u_iter.coeffs, c_iter.coeffs, rhs, x0=p_prev.coeffs),
-    )
 
 
 def _p_rhs_const(ops, params, pn, un, cn) -> np.ndarray:

@@ -8,8 +8,8 @@ Four checks certify the solver from the outside:
 * a temporal-order study fitting the error-vs-step-size slope;
 * an exact-equivalence check of the parameter rescaling on the fully
   discrete level;
-* an element-integral cross-check against an independently coded high-order
-  quadrature.
+* a cross-check of the assembled forms, on single-element meshes, against
+  an independently coded high-order quadrature.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ def _oracle_integrate(dim, sizes, kernel, n_gauss=5):
 
 @dataclass(frozen=True)
 class CrosscheckReport:
-    """Largest deviations between element integrals and the oracle."""
+    """Largest deviations between the assembled element forms and the oracle."""
 
     mass: float
     stiffness: float
@@ -298,9 +298,54 @@ class CrosscheckReport:
                    self.haptotaxis, self.load)
 
 
+def _haptotaxis_kernel(v, g, c):
+    grad_c = g.T @ c  # physical gradient of the interpolant
+    return np.outer(g @ grad_c, v)  # row = test index
+
+
+_ORACLE_KERNELS = {
+    "mass": lambda v, g: np.outer(v, v),
+    "stiffness": lambda v, g: g @ g.T,
+    "weighted_mass": lambda v, g, w: float(v @ w) * np.outer(v, v),
+    "haptotaxis": _haptotaxis_kernel,
+    "load": lambda v, g, a, b: float(v @ a) * float(v @ b) * v,
+}
+
+
+def oracle_form(name, sizes, *coefficients) -> np.ndarray:
+    """The element form ``name`` (a :class:`CrosscheckReport` field) on an
+    axis-aligned element with the given edge lengths, by the independent
+    5-point rule; ``coefficients`` are nodal values in local order."""
+    kernel = _ORACLE_KERNELS[name]
+    return _oracle_integrate(
+        len(sizes), sizes, lambda v, g: kernel(v, g, *coefficients)
+    )
+
+
+def element_form(assemble, sizes, *coefficients) -> np.ndarray:
+    """``assemble(mesh, *coefficients)`` on the one-element mesh
+    [0, s_1] x ... x [0, s_dim], read back in the canonical local vertex
+    ordering.  On that mesh the global matrix (or load vector) is the element
+    one; ``coefficients`` are nodal values in local order."""
+    dim = len(sizes)
+    mesh = build_structured_mesh(dim, [(0.0, s) for s in sizes], (1,) * dim, 0)
+    local = mesh.elements[0]  # local-to-global map, e.g. [0, 1, 3, 2] in 2D
+    nodal = []
+    for values in coefficients:
+        v = np.empty(mesh.n_nodes)
+        v[local] = values
+        nodal.append(v)
+    form = assemble(mesh, *nodal)
+    if isinstance(form, np.ndarray):
+        return form[local]
+    return form.to_scipy().toarray()[np.ix_(local, local)]
+
+
 def element_matrix_crosscheck(n_random=50, seed=20260809) -> CrosscheckReport:
-    """Compare every element integral against the independent 5-point rule
-    on random axis-aligned elements with random coefficients, in 2D and 3D."""
+    """Compare every assembled form against the independent 5-point rule on
+    random axis-aligned single-element meshes with random coefficients, in
+    2D and 3D.  The forms are the ``fem.assemble_*`` functions the stepper
+    calls."""
     rng = np.random.default_rng(seed)
     dev = {"mass": 0.0, "stiffness": 0.0, "weighted_mass": 0.0,
            "haptotaxis": 0.0, "load": 0.0}
@@ -315,42 +360,16 @@ def element_matrix_crosscheck(n_random=50, seed=20260809) -> CrosscheckReport:
             c = rng.uniform(-2.0, 2.0, size=nl)
             a = rng.uniform(-2.0, 2.0, size=nl)
             b = rng.uniform(-2.0, 2.0, size=nl)
-
-            ref = _oracle_integrate(dim, sizes, lambda v, g: np.outer(v, v))
-            dev["mass"] = max(dev["mass"],
-                              float(np.max(np.abs(fem.element_mass(sizes) - ref))))
-
-            ref = _oracle_integrate(dim, sizes, lambda v, g: g @ g.T)
-            dev["stiffness"] = max(
-                dev["stiffness"],
-                float(np.max(np.abs(fem.element_stiffness(sizes) - ref))),
-            )
-
-            ref = _oracle_integrate(
-                dim, sizes, lambda v, g: float(v @ w) * np.outer(v, v)
-            )
-            dev["weighted_mass"] = max(
-                dev["weighted_mass"],
-                float(np.max(np.abs(fem.element_weighted_mass(sizes, w) - ref))),
-            )
-
-            def hap_kernel(v, g):
-                grad_c = g.T @ c  # physical gradient of the interpolant
-                return np.outer(g @ grad_c, v)  # row = test index
-
-            ref = _oracle_integrate(dim, sizes, hap_kernel)
-            dev["haptotaxis"] = max(
-                dev["haptotaxis"],
-                float(np.max(np.abs(fem.element_haptotaxis(sizes, c) - ref))),
-            )
-
-            ref = _oracle_integrate(
-                dim, sizes, lambda v, g: float(v @ a) * float(v @ b) * v
-            )
-            dev["load"] = max(
-                dev["load"],
-                float(np.max(np.abs(fem.element_load_product(sizes, a, b) - ref))),
-            )
+            for name, assemble, coefficients in (
+                ("mass", fem.assemble_mass, ()),
+                ("stiffness", fem.assemble_stiffness, ()),
+                ("weighted_mass", fem.assemble_weighted_mass, (w,)),
+                ("haptotaxis", fem.assemble_haptotaxis, (c,)),
+                ("load", fem.assemble_product_load, (a, b)),
+            ):
+                assembled = element_form(assemble, sizes, *coefficients)
+                ref = oracle_form(name, sizes, *coefficients)
+                dev[name] = max(dev[name], float(np.max(np.abs(assembled - ref))))
 
     return CrosscheckReport(**dev)
 

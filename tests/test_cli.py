@@ -164,18 +164,21 @@ def test_sweep_records_child_failures_and_continues(tmp_path):
 
 
 def test_sweep_member_solve_failure_gets_its_code_and_others_run(tmp_path):
-    cfg = write_config(tmp_path, "refinements = 1\nt_final = 2\nsnapshots = 1\n")
+    cfg = write_config(tmp_path, "refinements = 1\nt_final = 2\nsnapshots = 0, 1\n")
     out = tmp_path / "sweep"
     code = cli.main(
         ["sweep", "--config", cfg, "--axis", "tol_lin=1e-30,1e-12", "--out", str(out)]
     )
     assert code == cli.EXIT_SOLVE
     lines = (out / "summary.csv").read_text().splitlines()
+    assert lines[0] == "tol_lin,max_u_t0,max_u_t1,breakdown,exit"
     assert len(lines) == 3
     failed = lines[1].split(",")
     passed = lines[2].split(",")
     assert failed[0] == "1e-30" and failed[-1] == str(cli.EXIT_SOLVE)
-    assert passed[0] == "1e-12" and passed[-2:] == ["0", "0"] and passed[1] != ""
+    assert passed[0] == "1e-12" and passed[-2:] == ["0", "0"] and passed[2] != ""
+    # the failed member committed t = 0 only: its peak there, none at t = 1
+    assert failed[1] == passed[1] != "" and failed[2] == "" and failed[3] == "0"
     partial = read_diagnostics_csv(out / "tol_lin-1e-30" / "diagnostics.csv")
     np.testing.assert_array_equal(partial["time"], [0.0])
 

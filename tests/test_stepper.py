@@ -13,9 +13,6 @@ from haptosim.stepper import (
     fixed_point_advance,
     run,
     simulate,
-    step_c,
-    step_p,
-    step_u,
     step_warnings,
 )
 
@@ -41,11 +38,29 @@ def unit_ops(unit_mesh):
     return Operators(unit_mesh)
 
 
+# One solve of each equation as the sweep makes it, with the iterates
+# entering the coefficients equal to the previous time level.
+def u_step(ops, params, s):
+    un, cn = s.u.coeffs, s.c.coeffs
+    return stepper._u_solve(ops, params, un, cn, stepper._u_rhs(ops, params, un, cn))
+
+
+def c_step(ops, params, s):
+    cn, pn = s.c.coeffs, s.p.coeffs
+    return stepper._c_solve(ops, params, pn, stepper._c_rhs(ops, params, cn, pn))
+
+
+def p_step(ops, params, s):
+    un, cn, pn = s.u.coeffs, s.c.coeffs, s.p.coeffs
+    rhs_const = stepper._p_rhs_const(ops, params, pn, un, cn)
+    return stepper._p_solve(ops, params, un, cn, rhs_const)
+
+
 def test_step_u_preserves_constants_without_reaction(unit_mesh, unit_ops):
     params = Parameters(chi=0.0, mu=1e-300, theta=0.5, dt=1.0)
     state = constant_state(unit_mesh, 0.75, 1.0, 0.0)
-    new_u = step_u(state.u, state.c, state.u, state.c, params, unit_ops)
-    np.testing.assert_allclose(new_u.coeffs, 0.75, atol=1e-11)
+    new_u = u_step(unit_ops, params, state)
+    np.testing.assert_allclose(new_u, 0.75, atol=1e-11)
 
 
 def test_step_u_scalar_recurrence(unit_mesh, unit_ops):
@@ -53,32 +68,30 @@ def test_step_u_scalar_recurrence(unit_mesh, unit_ops):
     # (1 - theta dt mu (1 - u_iter)) u_new = u_prev  ->  0.5 u_new = 0.5
     params = Parameters(chi=0.0, mu=1.0, theta=1.0, dt=1.0)
     state = constant_state(unit_mesh, 0.5, 1.0, 0.0)
-    new_u = step_u(state.u, state.c, state.u, state.c, params, unit_ops)
-    np.testing.assert_allclose(new_u.coeffs, 1.0, atol=1e-11)
+    new_u = u_step(unit_ops, params, state)
+    np.testing.assert_allclose(new_u, 1.0, atol=1e-11)
 
 
 def test_step_c_scalar_recurrence(unit_mesh, unit_ops):
     # p_prev = p_iter = 1, c_prev = 1, theta = 0.5, dt = 1: 1.5 c = 0.5
     params = Parameters(chi=0.0, mu=1.0, theta=0.5, dt=1.0)
     state = constant_state(unit_mesh, 0.0, 1.0, 1.0)
-    new_c = step_c(state.c, state.p, state.p, params, unit_ops)
-    np.testing.assert_allclose(new_c.coeffs, 1.0 / 3.0, atol=1e-11)
+    new_c = c_step(unit_ops, params, state)
+    np.testing.assert_allclose(new_c, 1.0 / 3.0, atol=1e-11)
 
 
 def test_step_c_no_protease_keeps_matrix(unit_mesh, unit_ops):
     params = Parameters(chi=0.0, theta=0.5, dt=1.0)
     state = constant_state(unit_mesh, 0.3, 0.8, 0.0)
-    new_c = step_c(state.c, state.p, state.p, params, unit_ops)
-    np.testing.assert_allclose(new_c.coeffs, 0.8, atol=1e-12)
+    new_c = c_step(unit_ops, params, state)
+    np.testing.assert_allclose(new_c, 0.8, atol=1e-12)
 
 
 def test_step_c_linear_in_previous_matrix(unit_mesh, unit_ops):
     params = Parameters(chi=0.0, theta=0.5, dt=1.0)
-    state = constant_state(unit_mesh, 0.0, 1.0, 0.7)
-    single = step_c(state.c, state.p, state.p, params, unit_ops)
-    doubled_state = constant_state(unit_mesh, 0.0, 2.0, 0.7)
-    doubled = step_c(doubled_state.c, state.p, state.p, params, unit_ops)
-    np.testing.assert_allclose(doubled.coeffs, 2.0 * single.coeffs, rtol=1e-12)
+    single = c_step(unit_ops, params, constant_state(unit_mesh, 0.0, 1.0, 0.7))
+    doubled = c_step(unit_ops, params, constant_state(unit_mesh, 0.0, 2.0, 0.7))
+    np.testing.assert_allclose(doubled, 2.0 * single, rtol=1e-12)
 
 
 def test_step_p_scalar_recurrence(unit_mesh, unit_ops):
@@ -86,15 +99,15 @@ def test_step_p_scalar_recurrence(unit_mesh, unit_ops):
     # 3.5 p = 2.5 + 2.5  ->  p = 10/7
     params = Parameters(chi=0.0, epsilon=0.2, theta=0.5, dt=1.0)
     state = constant_state(unit_mesh, 1.0, 1.0, 0.0)
-    new_p = step_p(state.p, state.u, state.c, state.u, state.c, params, unit_ops)
-    np.testing.assert_allclose(new_p.coeffs, 10.0 / 7.0, atol=1e-11)
+    new_p = p_step(unit_ops, params, state)
+    np.testing.assert_allclose(new_p, 10.0 / 7.0, atol=1e-11)
 
 
 def test_step_p_zero_sources_stay_zero(unit_mesh, unit_ops):
     params = Parameters(chi=0.0, epsilon=0.2, theta=0.5, dt=1.0)
     state = constant_state(unit_mesh, 0.0, 1.0, 0.0)
-    new_p = step_p(state.p, state.u, state.c, state.u, state.c, params, unit_ops)
-    np.testing.assert_allclose(new_p.coeffs, 0.0, atol=1e-13)
+    new_p = p_step(unit_ops, params, state)
+    np.testing.assert_allclose(new_p, 0.0, atol=1e-13)
 
 
 def test_step_p_fully_implicit_reduction(unit_mesh, unit_ops):
@@ -102,9 +115,9 @@ def test_step_p_fully_implicit_reduction(unit_mesh, unit_ops):
     params = Parameters(chi=0.0, epsilon=0.5, theta=1.0, dt=1.0)
     u, c, p_prev = 0.8, 0.6, 0.3
     state = constant_state(unit_mesh, u, c, p_prev)
-    new_p = step_p(state.p, state.u, state.c, state.u, state.c, params, unit_ops)
+    new_p = p_step(unit_ops, params, state)
     expected = (p_prev + 2.0 * u * c) / 3.0
-    np.testing.assert_allclose(new_p.coeffs, expected, atol=1e-12)
+    np.testing.assert_allclose(new_p, expected, atol=1e-12)
 
 
 def test_fixed_point_stationary_decoupled_state_converges_immediately(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from haptosim import fem
 from haptosim.iocfg import parse_config
+from haptosim.linsolve import CsrMatrix
 from haptosim.model import Parameters
 from haptosim.verify import (
     OracleError,
@@ -128,6 +130,19 @@ def test_element_crosscheck_against_independent_quadrature():
     assert report.weighted_mass <= 1e-13
     assert report.haptotaxis <= 1e-13
     assert report.load <= 1e-13
+
+
+def test_element_crosscheck_checks_the_assembly_the_stepper_calls(monkeypatch):
+    original = fem.assemble_haptotaxis
+
+    def perturbed(*args, **kwargs):
+        m = original(*args, **kwargs)
+        return CsrMatrix(m.n, m.indptr, m.indices, m.data * (1.0 + 1e-6))
+
+    monkeypatch.setattr(fem, "assemble_haptotaxis", perturbed)
+    report = element_matrix_crosscheck(n_random=5)
+    assert report.haptotaxis > 1e-13
+    assert report.mass <= 1e-13
 
 
 def test_scheme_matches_oracle_on_fine_steps():

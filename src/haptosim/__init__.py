@@ -23,7 +23,6 @@ from .model import (
     corner_gaussian_initial_data,
     interpolate_initial_state,
     rescale_to_unit_chi_eps,
-    w_diagnostic,
 )
 from .stepper import (
     BreakdownReport,
@@ -80,7 +79,6 @@ __all__ = [
     "simulate",
     "solve",
     "temporal_order_study",
-    "w_diagnostic",
     "write_diagnostics_csv",
     "write_vtk",
 ]

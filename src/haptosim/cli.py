@@ -3,8 +3,10 @@
 Exit codes are a stable contract:
 0 success, 2 config error, 3 breakdown, 4 fixed-point nonconvergence,
 5 verification failure, 6 linear-solve failure (1 is reserved for
-unexpected errors).  A run stopped by nonconvergence or a linear-solve
-failure still writes ``diagnostics.csv`` up to its last committed step.
+unexpected errors).  A run writes ``diagnostics.csv`` and, beside it,
+``events.jsonl`` with each step's monitor flags and sweep residuals; a run
+stopped by nonconvergence or a linear-solve failure writes both up to its
+last committed step.
 """
 
 from __future__ import annotations
@@ -46,12 +48,17 @@ def _snapshot_name(t) -> str:
     return f"snapshot_t{t:g}.vtk"
 
 
+def _emit_records(out: Path, records) -> None:
+    iocfg.write_diagnostics_csv(records, out / "diagnostics.csv")
+    iocfg.write_events_jsonl(records, out / "events.jsonl")
+
+
 def _emit_outputs(config: RunConfig, result: stepper.RunResult) -> None:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for t, state in result.snapshots:
         iocfg.write_vtk(state, out / _snapshot_name(t))
-    iocfg.write_diagnostics_csv(result.diagnostics, out / "diagnostics.csv")
+    _emit_records(out, result.diagnostics)
     if result.breakdown is not None:
         iocfg.write_vtk(result.state, out / f"breakdown_t{result.breakdown.time:g}.vtk")
 
@@ -61,7 +68,7 @@ def _emit_early_stop(config: RunConfig, exc) -> int:
     return the exit code of the failure."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    iocfg.write_diagnostics_csv(exc.records, out / "diagnostics.csv")
+    _emit_records(out, exc.records)
     if isinstance(exc, stepper.NonconvergenceError):
         return EXIT_NONCONVERGENCE
     return EXIT_SOLVE
@@ -88,9 +95,7 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        result = stepper.run(
-            config, backtrack=args.backtrack, on_step=_cadence_writer(config)
-        )
+        result = stepper.run(config, on_step=_cadence_writer(config))
     except stepper.NonconvergenceError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return _emit_early_stop(config, exc)
@@ -278,10 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a config key (repeatable)",
     )
     p_run.add_argument("--out", help="output directory (overrides out_dir)")
-    p_run.add_argument(
-        "--backtrack", action="store_true",
-        help="adapt the relaxation factor by backtracking instead of a fixed beta",
-    )
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a Cartesian parameter sweep")

@@ -70,20 +70,9 @@ def shape_gradients(dim: int, points) -> np.ndarray:
     return grads
 
 
-class QuadratureRule:
-    """Tensor-product Gauss rule on the reference cell [0,1]^dim."""
-
-    def __init__(self, points, weights):
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.weights = np.asarray(weights, dtype=float)
-        if len(self.weights) != self.points.shape[0]:
-            raise ValueError("weight count does not match point count")
-        if np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be positive")
-
-
-def gauss_rule(dim: int, points_per_axis: int = 2) -> QuadratureRule:
-    """points_per_axis-point Gauss-Legendre rule, tensorized over dim axes."""
+def gauss_rule(dim: int, points_per_axis: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """points_per_axis-point Gauss-Legendre rule on the reference cell
+    [0,1]^dim, tensorized over dim axes: (points (n, dim), weights (n,))."""
     x, w = np.polynomial.legendre.leggauss(points_per_axis)
     x01 = 0.5 * (x + 1.0)
     w01 = 0.5 * w
@@ -93,16 +82,15 @@ def gauss_rule(dim: int, points_per_axis: int = 2) -> QuadratureRule:
     weights = np.prod(
         np.column_stack([g.ravel(order="F") for g in wgrids]), axis=1
     )
-    return QuadratureRule(points, weights)
+    return points, weights
 
 
 @lru_cache(maxsize=None)
 def _tables(dim: int, points_per_axis: int = 2):
     """Cached (weights, shape values, reference gradients) for one rule."""
-    rule = gauss_rule(dim, points_per_axis)
-    phi = shape_values(dim, rule.points)
-    dphi = shape_gradients(dim, rule.points)
-    wq = rule.weights
+    points, wq = gauss_rule(dim, points_per_axis)
+    phi = shape_values(dim, points)
+    dphi = shape_gradients(dim, points)
     wq.flags.writeable = False
     phi.flags.writeable = False
     dphi.flags.writeable = False

@@ -4,11 +4,13 @@ Configuration files are flat ``key = value`` lines; ``#`` starts a comment.
 Unknown keys are rejected, missing keys take the documented defaults.
 Snapshots are written as legacy ASCII VTK unstructured grids (quad type 9 /
 hexahedron type 12) with the three point-data arrays u, c, p; per-step
-diagnostics are written as a flat CSV.
+diagnostics are written as a flat CSV, and the per-step monitor flags and
+sweep residuals as JSON lines.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 
@@ -21,7 +23,7 @@ from .model import InitialData, Parameters, SimState
 CONFIG_KEYS = (
     "dim", "domain_min", "domain_max", "base_cells", "refinements",
     "alpha", "chi", "mu", "epsilon", "theta", "dt", "t_final", "beta",
-    "tol_fp", "max_fp_iters", "tol_lin", "blowup_threshold",
+    "accel", "tol_fp", "max_fp_iters", "tol_lin", "blowup_threshold",
     "initial", "snapshots", "out_dir", "vtk_every",
 )
 
@@ -172,9 +174,10 @@ def build_config(pairs) -> RunConfig:
         if key in seen:
             lineno, value = seen[key]
             numbers[key] = _parse_float(key, value, lineno)
-    if "max_fp_iters" in seen:
-        lineno, value = seen["max_fp_iters"]
-        numbers["max_fp_iters"] = _parse_int("max_fp_iters", value, lineno)
+    for key in ("accel", "max_fp_iters"):
+        if key in seen:
+            lineno, value = seen[key]
+            numbers[key] = _parse_int(key, value, lineno)
     try:
         params = Parameters(**numbers)
     except model.ParameterError as exc:
@@ -261,6 +264,7 @@ def render_config(config: RunConfig) -> str:
         f"dt = {p.dt!r}",
         f"t_final = {p.t_final!r}",
         f"beta = {p.beta!r}",
+        f"accel = {p.accel}",
         f"tol_fp = {p.tol_fp!r}",
         f"max_fp_iters = {p.max_fp_iters}",
         f"tol_lin = {p.tol_lin!r}",
@@ -335,6 +339,23 @@ def write_diagnostics_csv(records, path) -> None:
                 str(int(rec.breakdown)),
             ]
             fh.write(",".join(row) + "\n")
+            if rec.breakdown:
+                break
+
+
+def write_events_jsonl(records, path) -> None:
+    """Write one JSON line per committed step (every diagnostics row but the
+    initial one): its time, sweep count, monitor flags and the (u, c, p)
+    increment norms of each sweep (see the stepper's StepRecord)."""
+    with open(path, "w", encoding="ascii") as fh:
+        for rec in records[1:]:
+            event = {
+                "time": float(rec.time),
+                "fp_iters": int(rec.fp_iters),
+                "warnings": list(rec.warnings),
+                "sweep_residuals": [list(r) for r in rec.sweep_residuals],
+            }
+            fh.write(json.dumps(event) + "\n")
             if rec.breakdown:
                 break
 

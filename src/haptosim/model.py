@@ -1,5 +1,4 @@
-"""Model constants, initial data, the exact parameter rescaling, and the
-exponentially weighted diagnostic field.
+"""Model constants, initial data and the exact parameter rescaling.
 
 The simulated system couples three fields on a box domain with zero-flux
 boundaries: cell density u (diffusion 1/alpha, haptotactic drift of strength
@@ -44,6 +43,7 @@ class Parameters:
     dt: float = 1.0
     t_final: float = 50.0
     beta: float = 0.5            # fixed-point relaxation, in (0, 1]
+    accel: int = 5               # Anderson mixing depth; 0 is the relaxed sweep
     tol_fp: float = 1e-8         # fixed-point stopping tolerance (l2 increments)
     max_fp_iters: int = 100
     tol_lin: float = 1e-12       # linear-solve relative residual tolerance
@@ -73,6 +73,14 @@ class Parameters:
             raise ParameterError(f"theta must lie in [0, 1], got {self.theta}")
         if not 0.0 < self.beta <= 1.0:
             raise ParameterError(f"beta must lie in (0, 1], got {self.beta}")
+        if (
+            isinstance(self.accel, bool)
+            or not isinstance(self.accel, (int, np.integer))
+            or self.accel < 0
+        ):
+            raise ParameterError(
+                f"accel must be a non-negative integer, got {self.accel!r}"
+            )
         if int(self.max_fp_iters) < 1:
             raise ParameterError(
                 f"max_fp_iters must be a positive integer, got {self.max_fp_iters}"
@@ -169,7 +177,7 @@ class RescaledProblem:
 
     Positions map as  x_new = x / sqrt(chi),  times as  t_new = t / epsilon,
     and the matrix/protease amplitudes carry a factor epsilon.  The original
-    (chi, epsilon) pair is retained so the map can be inverted exactly.
+    (chi, epsilon) pair is retained for the space, time and amplitude factors.
     """
 
     params: Parameters
@@ -192,29 +200,6 @@ class RescaledProblem:
     def amplitude_factor(self) -> float:
         """c and p pick up this factor in the rescaled problem."""
         return self.source_epsilon
-
-    def invert(self):
-        """Recover the original (params, extents, initial data)."""
-        chi, eps = self.source_chi, self.source_epsilon
-        params = replace(
-            self.params,
-            alpha=self.params.alpha * eps / chi,
-            chi=chi,
-            mu=self.params.mu / eps,
-            epsilon=eps,
-            dt=self.params.dt * eps,
-            t_final=self.params.t_final * eps,
-        )
-        root = math.sqrt(chi)
-        extents = tuple((lo * root, hi * root) for lo, hi in self.extents)
-        tu, tc, tp = self.initial.u0, self.initial.c0, self.initial.p0
-        initial = InitialData(
-            self.initial.name,
-            lambda x: tu(np.asarray(x, dtype=float) / root),
-            lambda x: tc(np.asarray(x, dtype=float) / root) / eps,
-            lambda x: tp(np.asarray(x, dtype=float) / root) / eps,
-        )
-        return params, extents, initial
 
 
 def rescale_to_unit_chi_eps(params: Parameters, extents, initial: InitialData):
@@ -248,14 +233,3 @@ def rescale_to_unit_chi_eps(params: Parameters, extents, initial: InitialData):
         lambda x: eps * p0(root * np.asarray(x, dtype=float)),
     )
     return RescaledProblem(new_params, new_extents, new_initial, chi, eps)
-
-
-def w_diagnostic(u: FeField, c: FeField, alpha: float) -> FeField:
-    """Nodal diagnostic field  w_i = u_i * exp(-alpha * c_i).
-
-    Damps the cell density by the local matrix level; monotone decreasing in
-    c wherever u > 0.
-    """
-    if u.mesh is not c.mesh:
-        raise MeshMismatchError("u and c must share a mesh")
-    return FeField(u.mesh, u.coeffs * np.exp(-alpha * c.coeffs))

@@ -1,15 +1,22 @@
 """Implicit time stepping of the coupled invasion system.
 
 Each time step advances (u, c, p) by a blended explicit/implicit one-step
-scheme and decouples the three equations with a relaxed fixed-point sweep:
+scheme and decouples the three equations with a fixed-point sweep.  One
+sweep maps the iterate x = (u, c, p) to g(x):
 
-  (a) solve for the new u with the previous sweep's c and u in the drift and
+  (a) solve for the new u with the iterate's c and u in the drift and
       logistic terms,
-  (b) solve for the new c with the previous sweep's p in the degradation term,
+  (b) solve for the new c with the iterate's p in the degradation term,
   (c) solve for the new p with the just-computed u and c in the production term,
-  (d) stop when all three l2 coefficient increments fall below tol_fp,
-  (e) otherwise blend each iterate with its predecessor by the relaxation
-      factor beta and sweep again.
+  (d) stop when all three l2 increments of f = g(x) - x fall below tol_fp and
+      commit g(x), the raw output of the sweep,
+  (e) otherwise take the next iterate and sweep again.  The first update is
+      the relaxed step x + beta f.  With ``accel = m > 0`` every later update
+      is Anderson mixing of depth m (Walker & Ni, SIAM J. Numer. Anal. 49(4),
+      2011): x = g - dG gamma, where gamma minimises |f - dF gamma| over the
+      last m differences dF, dG of the residuals f and the outputs g.  With
+      ``accel = 0`` every update is the relaxed step.  Both iterations have
+      the same fixed points, so they commit the same state up to tol_fp.
 
 Mass and stiffness matrices are assembled once per mesh; the coefficient-
 dependent matrices and load vectors are reassembled every sweep.  Non-finite
@@ -20,10 +27,12 @@ gracefully with a :class:`BreakdownReport`; exceeding the sweep budget raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import fem, linsolve
 from .iocfg import RunConfig
@@ -75,9 +84,14 @@ class FixedPointReport:
     """Outcome of one fixed-point sweep sequence."""
 
     iterations: int
-    residuals: tuple[float, float, float]
     converged: bool
     breakdown: BreakdownReport | None = None
+    history: tuple[tuple[float, float, float], ...] = ()  # residuals per sweep
+
+    @property
+    def residuals(self) -> tuple[float, float, float]:
+        """The (u, c, p) increment norms of the last completed sweep."""
+        return self.history[-1] if self.history else (np.inf,) * 3
 
 
 @dataclass(frozen=True)
@@ -97,6 +111,7 @@ class StepRecord:
     fp_iters: int
     breakdown: int
     warnings: tuple[str, ...] = ()
+    sweep_residuals: tuple[tuple[float, float, float], ...] = ()
 
 
 @dataclass
@@ -236,14 +251,13 @@ def _check_blowup(coeffs, name, params, time, iteration) -> BreakdownReport | No
 
 
 def fixed_point_advance(
-    state: SimState, params: Parameters, ops: Operators, backtrack: bool = False
+    state: SimState, params: Parameters, ops: Operators
 ) -> tuple[SimState, FixedPointReport]:
-    """Advance one time step with the relaxed fixed-point sweep.
+    """Advance one time step with the fixed-point sweep.
 
     Returns the committed state and a report.  On breakdown the report
     carries a :class:`BreakdownReport` and the returned state holds the
-    offending iterates flagged as artifacts.  ``backtrack=True`` starts at
-    relaxation 1 and halves it whenever the residual grows.
+    offending iterates flagged as artifacts.
     """
     un, cn, pn = state.u.coeffs, state.c.coeffs, state.p.coeffs
     t_new = state.t + params.dt
@@ -252,9 +266,16 @@ def fixed_point_advance(
     rhs_c = _c_rhs(ops, params, cn, pn)
     rhs_p_const = _p_rhs_const(ops, params, pn, un, cn)
 
-    u_old, c_old, p_old = un, cn, pn  # sweep iterates, start at the old level
+    x = np.concatenate((un, cn, pn))  # the sweep iterate, starts at the old level
+    u_old, c_old, p_old = _blocks(x)
     warm_u, warm_c, warm_p = un, cn, pn  # raw solutions of the previous sweep
-    beta = 1.0 if backtrack else params.beta
+    depth = params.accel
+    if depth:
+        # rings of the last `depth` differences of the residuals f and the
+        # outputs g; between sweeps, the slot that the next difference goes
+        # to holds the last f and g
+        d_f = np.empty((depth, x.size))
+        d_g = np.empty((depth, x.size))
     history: list[tuple[float, float, float]] = []
 
     for k in range(1, int(params.max_fp_iters) + 1):
@@ -265,8 +286,9 @@ def fixed_point_advance(
         except fem.AssemblyError as exc:
             # iterates went non-finite between checks
             report = BreakdownReport(t_new, k, "iterate", str(exc), float("nan"))
-            return _breakdown_state(state, t_new, u_old, c_old, p_old), FixedPointReport(
-                k, history[-1] if history else (np.inf,) * 3, False, report
+            return (
+                _breakdown_state(state, t_new, u_old, c_old, p_old),
+                FixedPointReport(k, False, report, tuple(history)),
             )
 
         for name, vec in (("u", u_new), ("c", c_new), ("p", p_new)):
@@ -274,16 +296,12 @@ def fixed_point_advance(
             if report is not None:
                 return (
                     _breakdown_state(state, t_new, u_new, c_new, p_new),
-                    FixedPointReport(
-                        k, history[-1] if history else (np.inf,) * 3, False, report
-                    ),
+                    FixedPointReport(k, False, report, tuple(history)),
                 )
 
-        residuals = (
-            float(np.linalg.norm(u_new - u_old)),
-            float(np.linalg.norm(c_new - c_old)),
-            float(np.linalg.norm(p_new - p_old)),
-        )
+        g = np.concatenate((u_new, c_new, p_new))
+        f = g - x
+        residuals = tuple(math.sqrt(block.dot(block)) for block in _blocks(f))
         history.append(residuals)
         if max(residuals) < params.tol_fp:
             committed = SimState(
@@ -292,15 +310,23 @@ def fixed_point_advance(
                 FeField(ops.mesh, c_new),
                 FeField(ops.mesh, p_new),
             )
-            return committed, FixedPointReport(k, residuals, True)
+            return committed, FixedPointReport(k, True, None, tuple(history))
 
-        warm_u, warm_c, warm_p = u_new, c_new, p_new
-        # a plateau counts as failure to contract, so shrink on non-decrease
-        if backtrack and len(history) > 1 and max(residuals) >= max(history[-2]):
-            beta = 0.5 * beta
-        u_old = beta * u_new + (1.0 - beta) * u_old
-        c_old = beta * c_new + (1.0 - beta) * c_old
-        p_old = beta * p_new + (1.0 - beta) * p_old
+        if depth and k > 1:
+            j = (k - 2) % depth
+            np.subtract(f, d_f[j], out=d_f[j])
+            np.subtract(g, d_g[j], out=d_g[j])
+            h = min(depth, k - 1)
+            x = g - _mixing_weights(d_f[:h], f) @ d_g[:h]
+        else:
+            x = params.beta * g + (1.0 - params.beta) * x
+        if depth:
+            d_f[(k - 1) % depth] = f
+            d_g[(k - 1) % depth] = g
+        u_old, c_old, p_old = _blocks(x)
+        warm_u, warm_c, warm_p = _blocks(g)
+        # what the next sweep's assembly finds in memory is x, g and the rings
+        del u_new, c_new, p_new, f
 
     raise NonconvergenceError(
         f"fixed-point sweep did not converge within {params.max_fp_iters} iterations "
@@ -308,6 +334,24 @@ def fixed_point_advance(
         t_new,
         history,
     )
+
+
+def _blocks(v):
+    """The u, c and p parts of a stacked (u, c, p) vector, as views."""
+    n = v.size // 3
+    return v[:n], v[n:2 * n], v[2 * n:]
+
+
+def _mixing_weights(d_f, f) -> np.ndarray:
+    """gamma minimising |f - d_f^T gamma|, from the normal equations of the
+    few stored differences, or by least squares when they are singular.
+
+    LAPACK's dgesv is called directly: on a handful of unknowns the checks
+    around ``np.linalg.solve`` cost five times the solve."""
+    _, _, gamma, info = lapack.dgesv(d_f @ d_f.T, d_f @ f)
+    if info == 0:
+        return gamma
+    return np.linalg.lstsq(d_f.T, f, rcond=None)[0]
 
 
 def _breakdown_state(state, t_new, u, c, p) -> SimState:
@@ -321,7 +365,7 @@ def _breakdown_state(state, t_new, u, c, p) -> SimState:
 
 
 def _record(state: SimState, ops: Operators, fp_iters: int, breakdown: int,
-            warnings=()) -> StepRecord:
+            warnings=(), sweep_residuals=()) -> StepRecord:
     masses = [
         float(np.dot(ops.mass_vector, f.coeffs)) for f in (state.u, state.c, state.p)
     ]
@@ -330,7 +374,8 @@ def _record(state: SimState, ops: Operators, fp_iters: int, breakdown: int,
         extrema.append(float(f.coeffs.max()))
         extrema.append(float(f.coeffs.min()))
     return StepRecord(
-        state.t, *extrema, *masses, fp_iters, breakdown, tuple(warnings)
+        state.t, *extrema, *masses, fp_iters, breakdown, tuple(warnings),
+        sweep_residuals,
     )
 
 
@@ -358,7 +403,6 @@ def simulate(
     params: Parameters,
     snapshot_times=(),
     ops: Operators | None = None,
-    backtrack: bool = False,
     on_step=None,
 ) -> RunResult:
     """Run the time loop from an interpolated initial state.
@@ -392,18 +436,21 @@ def simulate(
 
     for n in range(1, n_steps + 1):
         try:
-            new_state, report = fixed_point_advance(state, params, ops, backtrack=backtrack)
+            new_state, report = fixed_point_advance(state, params, ops)
         except (NonconvergenceError, StepError) as exc:
             exc.records = records
             raise
         new_state.t = state0.t + n * params.dt  # drift-free step times
         if report.breakdown is not None:
             records.append(
-                _record(new_state, ops, report.iterations, 1, ("breakdown",))
+                _record(new_state, ops, report.iterations, 1, ("breakdown",),
+                        report.history)
             )
             return RunResult(new_state, records, snapshots, report.breakdown)
         flags = step_warnings(state, new_state, params)
-        records.append(_record(new_state, ops, report.iterations, 0, flags))
+        records.append(
+            _record(new_state, ops, report.iterations, 0, flags, report.history)
+        )
         if n in snapshot_steps:
             snapshots.append((new_state.t, new_state.copy()))
         if on_step is not None:
@@ -413,7 +460,7 @@ def simulate(
     return RunResult(state, records, snapshots, None)
 
 
-def run(config: RunConfig, backtrack: bool = False, on_step=None) -> RunResult:
+def run(config: RunConfig, on_step=None) -> RunResult:
     """Build the mesh and initial state from a config, then simulate."""
     mesh = config.build_mesh()
     state0 = interpolate_initial_state(config.initial_data(), mesh)
@@ -421,6 +468,5 @@ def run(config: RunConfig, backtrack: bool = False, on_step=None) -> RunResult:
         state0,
         config.params,
         snapshot_times=config.snapshots,
-        backtrack=backtrack,
         on_step=on_step,
     )

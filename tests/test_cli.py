@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 from haptosim import cli
@@ -16,6 +18,11 @@ def write_config(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def read_events(out):
+    lines = (out / "events.jsonl").read_text(encoding="ascii").splitlines()
+    return [json.loads(line) for line in lines]
+
+
 def test_run_success_produces_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_RUN)
     out = tmp_path / "out"
@@ -23,6 +30,7 @@ def test_run_success_produces_outputs(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert sorted(p.name for p in out.iterdir()) == [
         "diagnostics.csv",
+        "events.jsonl",
         "snapshot_t2.vtk",
         "snapshot_t4.vtk",
     ]
@@ -30,6 +38,28 @@ def test_run_success_produces_outputs(tmp_path, capsys):
     data = read_diagnostics_csv(out / "diagnostics.csv")
     assert len(data["time"]) == 5  # initial row + 4 steps
     assert np.all(data["breakdown"] == 0)
+    # one event per committed step, with the residuals of each of its sweeps
+    events = read_events(out)
+    assert [e["time"] for e in events] == data["time"][1:].tolist()
+    assert [e["fp_iters"] for e in events] == data["fp_iters"][1:].tolist()
+    for event in events:
+        history = event["sweep_residuals"]
+        assert len(history) == event["fp_iters"]
+        assert all(len(r) == 3 for r in history)
+        assert max(history[-1]) < 1e-8 <= max(history[0])
+
+
+def test_run_events_carry_the_monitor_flags(tmp_path):
+    # the strong-drift run undershoots from its first step on
+    out = tmp_path / "out"
+    code = cli.main(
+        ["run", "--set", "chi=1.25", "--set", "mu=0.01", "--set", "t_final=2",
+         "--set", "snapshots=", "--out", str(out)]
+    )
+    assert code == cli.EXIT_OK
+    events = read_events(out)
+    assert [e["time"] for e in events] == [1.0, 2.0]
+    assert all("oscillation:u" in e["warnings"] for e in events)
 
 
 def test_run_set_overrides(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from haptosim.iocfg import (
     read_pairs,
     render_config,
     write_diagnostics_csv,
+    write_events_jsonl,
     write_vtk,
     read_diagnostics_csv,
     DIAGNOSTICS_HEADER,
@@ -34,6 +37,7 @@ def test_empty_config_gives_documented_defaults():
     assert cfg.params.dt == 1.0
     assert cfg.params.t_final == 50.0
     assert cfg.params.beta == 0.5
+    assert cfg.params.accel == 5
     assert cfg.params.tol_fp == 1e-8
     assert cfg.snapshots == (5.0, 15.0, 25.0, 35.0)
     assert cfg.initial == "corner-gaussian"
@@ -73,6 +77,8 @@ def test_haptotaxis_sweep_configuration():
         ("vtk_every = -2\n", "vtk_every"),
         ("initial = unknown-family\n", "initial"),
         ("domain_min = 1,2,3\n", "domain_min"),
+        ("accel = -1\n", "accel"),
+        ("accel = 2.5\n", "accel"),
     ],
 )
 def test_invalid_configs_rejected(text, fragment):
@@ -121,12 +127,13 @@ def test_render_parse_round_trip_defaults():
     steps=st.integers(1, 60),
     dt_exp=st.integers(-3, 1),
     refinements=st.integers(0, 5),
+    accel=st.integers(0, 10),
 )
 @settings(max_examples=40, deadline=None)
-def test_render_parse_round_trip_random(mu, chi, theta, steps, dt_exp, refinements):
+def test_render_parse_round_trip_random(mu, chi, theta, steps, dt_exp, refinements, accel):
     dt = 2.0**dt_exp
     cfg = parse_config(
-        f"mu = {mu!r}\nchi = {chi!r}\ntheta = {theta!r}\n"
+        f"mu = {mu!r}\nchi = {chi!r}\ntheta = {theta!r}\naccel = {accel}\n"
         f"dt = {dt!r}\nt_final = {steps * dt!r}\n"
         f"refinements = {refinements}\nsnapshots = {steps * dt!r}\n"
     )
@@ -199,9 +206,10 @@ def test_vtk_breakdown_artifact_flagged(tmp_path):
     assert "[breakdown artifact]" in path.read_text().splitlines()[1]
 
 
-def _record(time, fp=3, breakdown=0):
+def _record(time, fp=3, breakdown=0, warnings=(), sweep_residuals=()):
     return StepRecord(
-        time, 0.31, 0.0, 1.0, 0.5, 0.5, 0.0, 3.1, 390.0, 0.7, fp, breakdown
+        time, 0.31, 0.0, 1.0, 0.5, 0.5, 0.0, 3.1, 390.0, 0.7, fp, breakdown,
+        warnings, sweep_residuals,
     )
 
 
@@ -230,3 +238,22 @@ def test_diagnostics_csv_read_back(tmp_path):
     np.testing.assert_array_equal(data["time"], [0.0, 1.0])
     np.testing.assert_array_equal(data["max_u"], [0.31, 0.31])
     np.testing.assert_array_equal(data["fp_iters"], [0.0, 3.0])
+
+
+def test_events_jsonl_lines_per_step(tmp_path):
+    path = tmp_path / "events.jsonl"
+    history = ((0.5, 0.25, 0.125), (1e-9, 2e-9, 3e-10))
+    records = [
+        _record(0.0, fp=0),
+        _record(1.0, fp=2, warnings=("oscillation:u",), sweep_residuals=history),
+        _record(2.0, fp=1, breakdown=1, warnings=("breakdown",)),
+        _record(3.0),
+    ]
+    write_events_jsonl(records, path)
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    # no line for the initial row; none past the breakdown row
+    assert events == [
+        {"time": 1.0, "fp_iters": 2, "warnings": ["oscillation:u"],
+         "sweep_residuals": [list(r) for r in history]},
+        {"time": 2.0, "fp_iters": 1, "warnings": ["breakdown"], "sweep_residuals": []},
+    ]

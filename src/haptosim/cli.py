@@ -6,7 +6,7 @@ Exit codes are a stable contract:
 unexpected errors).  A run writes ``diagnostics.csv`` and, beside it,
 ``events.jsonl`` with each step's monitor flags and sweep residuals; a run
 stopped by nonconvergence or a linear-solve failure writes both up to its
-last committed step.
+last committed step, and that step's state as ``last_good_t<t>.vtk``.
 """
 
 from __future__ import annotations
@@ -64,11 +64,12 @@ def _emit_outputs(config: RunConfig, result: stepper.RunResult) -> None:
 
 
 def _emit_early_stop(config: RunConfig, exc) -> int:
-    """Write the diagnostics of the steps committed before a failed step;
-    return the exit code of the failure."""
+    """Write the diagnostics of the steps committed before a failed step and
+    the last committed state; return the exit code of the failure."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _emit_records(out, exc.records)
+    iocfg.write_vtk(exc.state, out / f"last_good_t{exc.state.t:g}.vtk")
     if isinstance(exc, stepper.NonconvergenceError):
         return EXIT_NONCONVERGENCE
     return EXIT_SOLVE

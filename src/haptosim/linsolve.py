@@ -11,14 +11,17 @@ contract, in the order they are tried:
 * a caller-supplied exact inverse (``inverse=``; the stepper passes the
   Kronecker-factored inverse of the scaled mass matrix for the protease
   system), accepted when its result meets the contract;
-* dense elimination for systems up to ``DENSE_LIMIT`` unknowns;
-* a sparse LU factorization up to ``DIRECT_LIMIT`` unknowns;
+* up to ``DIRECT_LIMIT`` unknowns, LAPACK's banded LU with partial pivoting
+  (``dgbsv``).  The structured meshes number their nodes lexicographically,
+  so every assembled matrix is a band of half-width N + 2 on an N x N mesh
+  and (N+1)^2 + N + 2 on an N^3 mesh.  LAPACK stores it in 3 half-widths + 1
+  rows of n values: 0.9 MB at 32x32 and 36 MB at 16^3;
 * above that, preconditioned BiCGSTAB (CG with ``spd=True``) with one
-  tighter retry and an LU fallback.  The preconditioner is Jacobi unless the
-  caller supplies one (``precond=``; the stepper passes the inverse mass
-  matrix for the matrix-density system).  The systems produced by the time
-  stepper are mass-dominated, so this path converges in a few dozen
-  iterations.
+  tighter retry and a sparse LU fallback (``splu``; a band would be about
+  1 GB at 32^3).  The preconditioner is Jacobi unless the caller supplies
+  one (``precond=``; the stepper passes the inverse mass matrix for the
+  matrix-density system).  The systems produced by the time stepper are
+  mass-dominated, so this path converges in a few dozen iterations.
 
 Every path ends in the same explicit residual check.
 """
@@ -31,8 +34,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
-DENSE_LIMIT = 64
 DIRECT_LIMIT = 10_000
 _EPS = float(np.finfo(float).eps)
 
@@ -106,11 +109,32 @@ def combine(terms) -> CsrMatrix:
     return CsrMatrix(first.n, first.indptr, first.indices, data)
 
 
-def _relative_residual(a_scipy, x, b, bnorm) -> float:
-    return float(np.linalg.norm(a_scipy @ x - b)) / max(bnorm, _EPS)
+def _relative_residual(ax, b, bnorm) -> float:
+    return float(np.linalg.norm(ax - b)) / max(bnorm, _EPS)
 
 
-def _solve_direct(a_scipy, b):
+def _solve_banded(a: CsrMatrix, b):
+    """x and A x, from LAPACK's banded LU of A; A x is summed from the CSR
+    arrays, so no scipy form is built."""
+    # array methods and slicing, not np.diff and np.repeat: on the tiny systems
+    # of single-element meshes their Python-level checks cost more than the solve
+    rows = np.arange(a.n).repeat(a.indptr[1:] - a.indptr[:-1])
+    offsets = rows - a.indices
+    kl = int(offsets.max(initial=0))
+    ku = int(-offsets.min(initial=0))
+    # LAPACK band storage: A[i, j] at ab[kl + ku + i - j, j]; the first kl
+    # rows are room for the fill-in of the pivoting
+    ab = np.zeros((2 * kl + ku + 1, a.n), order="F")
+    ab[kl + ku + offsets, a.indices] = a.data
+    _, _, x, info = lapack.dgbsv(kl, ku, ab, b, overwrite_ab=1)
+    if info > 0:
+        raise SolverFailure(
+            f"banded LU factorization failed: pivot {info} is exactly zero", np.inf
+        )
+    return x, np.bincount(rows, a.data * x[a.indices], minlength=a.n)
+
+
+def _solve_lu(a_scipy, b):
     try:
         lu = spla.splu(a_scipy.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # exactly singular
@@ -140,13 +164,14 @@ def solve(
 ) -> np.ndarray:
     """Solve A x = b to relative residual <= tol_lin.
 
-    ``method`` is "auto" (direct below DIRECT_LIMIT unknowns, otherwise
-    Krylov with direct fallback), "direct", or "iterative".  ``x0`` warm-
-    starts the Krylov path; ``spd=True`` selects conjugate gradients there.
-    ``inverse`` (a function b -> A^-1 b) is tried before any other path;
-    ``precond`` (a function approximating v -> A^-1 v) replaces Jacobi as
-    the Krylov preconditioner.  None of these affects the residual contract:
-    a result that misses tol_lin falls through to the next path.
+    ``method`` is "auto" (banded LU up to DIRECT_LIMIT unknowns, otherwise
+    Krylov with a sparse LU fallback), "direct" (banded LU) or "iterative".
+    ``x0`` warm-starts the Krylov path; ``spd=True`` selects conjugate
+    gradients there.  ``inverse`` (a function b -> A^-1 b) is tried before
+    any other path; ``precond`` (a function approximating v -> A^-1 v)
+    replaces Jacobi as the Krylov preconditioner.  None of these affects the
+    residual contract: a result that misses tol_lin falls through to the next
+    path.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (a.n,):
@@ -162,32 +187,22 @@ def solve(
 
     if inverse is not None:
         x = inverse(b)
-        if np.isfinite(x).all() and _relative_residual(a.to_scipy(), x, b, bnorm) <= tol_lin:
+        if np.isfinite(x).all() and _relative_residual(a.to_scipy() @ x, b, bnorm) <= tol_lin:
             return x
 
-    if method == "auto" and a.n <= DENSE_LIMIT:
-        # tiny systems (single-element meshes, unit tests): dense elimination,
-        # with no scipy form built
-        a_op = np.zeros((a.n, a.n))
-        a_op[np.repeat(np.arange(a.n), np.diff(a.indptr)), a.indices] = a.data
-        try:
-            x = np.linalg.solve(a_op, b)
-        except np.linalg.LinAlgError:
-            raise SolverFailure("dense solve failed: singular matrix", np.inf)
-    else:
+    if method == "auto":
+        method = "direct" if a.n <= DIRECT_LIMIT else "iterative"
+    if method == "iterative":
         a_op = a.to_scipy()
-        if method == "auto":
-            method = "direct" if a.n <= DIRECT_LIMIT else "iterative"
-        if method == "iterative":
-            x = _solve_krylov(a_op, b, tol_lin, x0=x0, spd=spd, precond=precond)
-            if x is not None and _relative_residual(a_op, x, b, bnorm) <= tol_lin:
+        for tol in (tol_lin, tol_lin * 1e-2):  # one tighter retry before LU
+            x = _solve_krylov(a_op, b, tol, x0=x0, spd=spd, precond=precond)
+            if x is not None and _relative_residual(a_op @ x, b, bnorm) <= tol_lin:
                 return x
-            # one tighter Krylov retry before paying for a sparse factorization
-            x = _solve_krylov(a_op, b, tol_lin * 1e-2, x0=x0, spd=spd, precond=precond)
-            if x is not None and _relative_residual(a_op, x, b, bnorm) <= tol_lin:
-                return x
-        x = _solve_direct(a_op, b)  # also the Krylov fallback
-    residual = _relative_residual(a_op, x, b, bnorm)
+        x = _solve_lu(a_op, b)
+        ax = a_op @ x
+    else:
+        x, ax = _solve_banded(a, b)
+    residual = _relative_residual(ax, b, bnorm)
     if not np.isfinite(x).all() or residual > tol_lin:
         raise SolverFailure(
             f"linear solve reached relative residual {residual:.3e} > {tol_lin:.1e}",

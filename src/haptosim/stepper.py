@@ -45,20 +45,21 @@ class StepError(RuntimeError):
     """A linear solve failed inside a time step.
 
     Raised from :func:`simulate`, ``records`` holds the diagnostics of the
-    steps committed before the failure.
+    steps committed before the failure and ``state`` the last committed state.
     """
 
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
         self.records: list[StepRecord] = []
+        self.state: SimState | None = None
 
 
 class NonconvergenceError(RuntimeError):
     """The fixed-point sweep exhausted its iteration budget.
 
     Raised from :func:`simulate`, ``records`` holds the diagnostics of the
-    steps committed before the failure.
+    steps committed before the failure and ``state`` the last committed state.
     """
 
     def __init__(self, message, time, residual_history):
@@ -66,6 +67,7 @@ class NonconvergenceError(RuntimeError):
         self.time = time
         self.residual_history = residual_history
         self.records: list[StepRecord] = []
+        self.state: SimState | None = None
 
 
 @dataclass(frozen=True)
@@ -262,10 +264,6 @@ def fixed_point_advance(
     un, cn, pn = state.u.coeffs, state.c.coeffs, state.p.coeffs
     t_new = state.t + params.dt
 
-    rhs_u = _u_rhs(ops, params, un, cn)
-    rhs_c = _c_rhs(ops, params, cn, pn)
-    rhs_p_const = _p_rhs_const(ops, params, pn, un, cn)
-
     x = np.concatenate((un, cn, pn))  # the sweep iterate, starts at the old level
     u_old, c_old, p_old = _blocks(x)
     warm_u, warm_c, warm_p = un, cn, pn  # raw solutions of the previous sweep
@@ -280,11 +278,15 @@ def fixed_point_advance(
 
     for k in range(1, int(params.max_fp_iters) + 1):
         try:
+            if k == 1:  # the explicit parts, frozen within the step
+                rhs_u = _u_rhs(ops, params, un, cn)
+                rhs_c = _c_rhs(ops, params, cn, pn)
+                rhs_p_const = _p_rhs_const(ops, params, pn, un, cn)
             u_new = _u_solve(ops, params, u_old, c_old, rhs_u, x0=warm_u)
             c_new = _c_solve(ops, params, p_old, rhs_c, x0=warm_c)
             p_new = _p_solve(ops, params, u_new, c_new, rhs_p_const, x0=warm_p)
         except fem.AssemblyError as exc:
-            # iterates went non-finite between checks
+            # the old state or the iterates went non-finite between checks
             report = BreakdownReport(t_new, k, "iterate", str(exc), float("nan"))
             return (
                 _breakdown_state(state, t_new, u_old, c_old, p_old),
@@ -411,7 +413,8 @@ def simulate(
     for the initial state and every completed step (diagnostics row ``n``
     belongs to step ``n``); on breakdown the partial results are returned
     together with the report.  A :class:`NonconvergenceError` or
-    :class:`StepError` carries the records of the steps committed before it.
+    :class:`StepError` carries the records of the steps committed before it
+    and the last committed state.
     ``on_step(step_index, state)``, when given, is called after every
     committed step.
     """
@@ -439,6 +442,7 @@ def simulate(
             new_state, report = fixed_point_advance(state, params, ops)
         except (NonconvergenceError, StepError) as exc:
             exc.records = records
+            exc.state = state
             raise
         new_state.t = state0.t + n * params.dt  # drift-free step times
         if report.breakdown is not None:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 
 from haptosim import cli
-from haptosim.iocfg import read_diagnostics_csv
+from haptosim.iocfg import parse_config, read_diagnostics_csv
+from haptosim.model import interpolate_initial_state
 
 from vtk_grammar import check_vtk_file
 
@@ -131,6 +132,7 @@ def test_run_nonconvergence_leaves_partial_diagnostics(tmp_path, capsys):
     data = read_diagnostics_csv(out / "diagnostics.csv")  # checks the header
     np.testing.assert_array_equal(data["time"], [0.0])
     assert data["fp_iters"][0] == 0 and data["breakdown"][0] == 0
+    assert_last_good_state_at_t0(out)
 
 
 def test_run_linear_solve_failure_exit_code(tmp_path, capsys):
@@ -143,6 +145,17 @@ def test_run_linear_solve_failure_exit_code(tmp_path, capsys):
     assert "linear-solve failure" in capsys.readouterr().err
     data = read_diagnostics_csv(out / "diagnostics.csv")
     np.testing.assert_array_equal(data["time"], [0.0])
+    assert_last_good_state_at_t0(out)
+
+
+def assert_last_good_state_at_t0(out):
+    """The stopped run wrote its last committed state, the initial data."""
+    assert sorted(p.name for p in out.glob("*.vtk")) == ["last_good_t0.vtk"]
+    config = parse_config("")
+    state0 = interpolate_initial_state(config.initial_data(), config.build_mesh())
+    _, fields = check_vtk_file(out / "last_good_t0.vtk")
+    for name in ("u", "c", "p"):
+        np.testing.assert_array_equal(fields[name], getattr(state0, name).coeffs)
 
 
 def test_run_vtk_cadence(tmp_path):
@@ -211,6 +224,7 @@ def test_sweep_member_solve_failure_gets_its_code_and_others_run(tmp_path):
     assert failed[1] == passed[1] != "" and failed[2] == "" and failed[3] == "0"
     partial = read_diagnostics_csv(out / "tol_lin-1e-30" / "diagnostics.csv")
     np.testing.assert_array_equal(partial["time"], [0.0])
+    assert (out / "tol_lin-1e-30" / "last_good_t0.vtk").is_file()
 
 
 def test_sweep_reproducible_summary(tmp_path):

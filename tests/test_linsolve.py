@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haptosim import linsolve
-from haptosim.fem import assemble_mass
+from haptosim.fem import (
+    AssemblyPlan, assemble_haptotaxis, assemble_mass, assemble_stiffness,
+)
 from haptosim.linsolve import CsrMatrix, SolverFailure, combine, solve
 from haptosim.mesh import build_structured_mesh
 
@@ -73,11 +76,82 @@ def test_unreachable_tolerance_raises_on_every_path(cells, method):
     assert 1e-30 < err.value.residual < 1e-12
 
 
-def test_dense_path_builds_no_scipy_form():
-    m, b = _mass_system(2)  # 9 unknowns: dense elimination
+def test_band_path_builds_no_scipy_form():
+    m, b = _mass_system(16)  # 289 unknowns: banded LU, residual from the CSR arrays
     x = solve(m, b)
     assert "_scipy" not in vars(m)
     assert relative_residual(m, x, b) <= 1e-12
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_band_solve_matches_dense_oracle(data):
+    # nonsymmetric and diagonally dominant, with unequal lower and upper widths
+    n = data.draw(st.integers(5, 40))
+    narrow = data.draw(st.integers(0, n - 2))
+    wide = data.draw(st.integers(narrow + 1, n - 1))
+    kl, ku = (narrow, wide) if data.draw(st.booleans()) else (wide, narrow)
+    seed = data.draw(st.integers(0, 2**31))
+    rng = np.random.default_rng(seed)
+    i, j = np.indices((n, n))
+    full = np.where((i - j <= kl) & (j - i <= ku), rng.uniform(-1.0, 1.0, (n, n)), 0.0)
+    full[(i - j == kl) | (j - i == ku)] += 2.0  # the outer diagonals are stored
+    np.fill_diagonal(full, np.abs(full).sum(axis=1) + 1.0)
+    a = csr(full)
+    b = rng.standard_normal(n)
+    x = solve(a, b, tol_lin=1e-12)
+    assert relative_residual(a, x, b) <= 1e-12
+    oracle = np.linalg.solve(full, b)
+    assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def _u_system_2d():
+    mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (32, 32), 0)
+    plan = AssemblyPlan(mesh)
+    c = 1.0 - 0.5 * np.exp(-np.sum(mesh.node_coords**2, axis=1) / 25.0)
+    return combine([
+        (1.0, assemble_mass(mesh, plan)),
+        (0.5, assemble_stiffness(mesh, plan)),
+        (-0.5, assemble_haptotaxis(mesh, c, plan)),
+    ])
+
+
+def _mass_stiffness_3d():
+    mesh = build_structured_mesh(3, ((0.0, 1.0),) * 3, (8, 8, 8), 0)
+    plan = AssemblyPlan(mesh)
+    return combine([
+        (1.0, assemble_mass(mesh, plan)), (0.01, assemble_stiffness(mesh, plan))
+    ])
+
+
+@pytest.mark.parametrize("system", [_u_system_2d, _mass_stiffness_3d], ids=["u2d", "3d"])
+def test_auto_path_solves_mesh_systems_without_splu(monkeypatch, system):
+    a = system()
+    b = np.random.default_rng(5).standard_normal(a.n)
+    ref = spla.splu(a.to_scipy().tocsc()).solve(b)
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("the auto path should not reach sparse LU")
+
+    monkeypatch.setattr(linsolve.spla, "splu", no_factorization)
+    x = solve(a, b)
+    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_failed_krylov_reaches_the_lu_fallback_once(monkeypatch):
+    m, b = _mass_system(4)
+    factorizations = []
+    splu = spla.splu
+
+    def counted(*args, **kwargs):
+        factorizations.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve.spla, "bicgstab", lambda a, b, **kw: (np.zeros_like(b), 1))
+    monkeypatch.setattr(linsolve.spla, "splu", counted)
+    x = solve(m, b, method="iterative")
+    assert relative_residual(m, x, b) <= 1e-12
+    assert len(factorizations) == 1
 
 
 def test_nonfinite_inputs_rejected():
@@ -114,8 +188,6 @@ def test_spmv_matches_dense_oracle(seed):
 
 def test_combine_same_pattern():
     mesh = build_structured_mesh(2, ((0.0, 1.0), (0.0, 1.0)), (2, 2), 0)
-    from haptosim.fem import AssemblyPlan, assemble_stiffness
-
     plan = AssemblyPlan(mesh)
     m = assemble_mass(mesh, plan)
     k = assemble_stiffness(mesh, plan)
@@ -177,6 +249,7 @@ def test_exact_inverse_is_used_without_factoring(monkeypatch):
         raise AssertionError("an exact inverse should need no factorization")
 
     monkeypatch.setattr(linsolve.spla, "splu", no_factorization)
+    monkeypatch.setattr(linsolve.lapack, "dgbsv", no_factorization)
     x = solve(m, b, inverse=lambda v: dense_inv @ v)
     np.testing.assert_array_equal(x, dense_inv @ b)
 

@@ -202,6 +202,27 @@ def test_blowup_threshold_triggers_breakdown(unit_mesh, unit_ops):
     assert new_state.u.breakdown
 
 
+def test_nonfinite_old_state_gives_a_breakdown_report(unit_mesh, unit_ops):
+    # the explicit right-hand sides assemble from the old state: theta < 1
+    params = Parameters(theta=0.5, dt=1.0)
+    state = constant_state(unit_mesh, 0.5, 0.9, 0.1)
+    state.u.coeffs[4] = np.nan
+    new_state, report = fixed_point_advance(state, params, unit_ops)
+    assert not report.converged
+    assert report.breakdown is not None and report.breakdown.iteration == 1
+    assert "non-finite" in report.breakdown.reason
+    assert new_state.u.breakdown
+
+
+def test_stop_errors_carry_the_last_committed_state(unit_mesh):
+    params = Parameters(chi=0.0, mu=1.0, theta=1.0, dt=1.0, t_final=2.0, max_fp_iters=2)
+    state0 = constant_state(unit_mesh, 0.5, 0.0, 0.0)
+    with pytest.raises(NonconvergenceError) as err:
+        simulate(state0, params)
+    assert err.value.state is state0
+    assert [r.time for r in err.value.records] == [0.0]
+
+
 def test_constant_data_stays_constant_and_obeys_theta_relation(unit_mesh):
     params = Parameters(
         chi=0.0, mu=0.5, epsilon=0.2, theta=0.5, dt=0.5, t_final=3.0

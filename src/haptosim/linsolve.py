@@ -13,9 +13,14 @@ contract, in the order they are tried:
   system), accepted when its result meets the contract;
 * up to ``DIRECT_LIMIT`` unknowns, LAPACK's banded LU with partial pivoting
   (``dgbsv``).  The structured meshes number their nodes lexicographically,
-  so every assembled matrix is a band of half-width N + 2 on an N x N mesh
-  and (N+1)^2 + N + 2 on an N^3 mesh.  LAPACK stores it in 3 half-widths + 1
-  rows of n values: 0.9 MB at 32x32 and 36 MB at 16^3;
+  first axis fastest, so every assembled matrix is a band whose half-width
+  is set by the first axis (the first two in 3D): nx + 2 on an nx x ny mesh
+  and (nx+1)(ny+1) + nx + 2 on an nx x ny x nz mesh, so N + 2 on a square
+  N x N mesh and (N+1)^2 + N + 2 on a cubic N^3 mesh.  LAPACK stores it in
+  3 half-widths + 1 rows of n values: 0.9 MB at 32x32 and 36 MB at 16^3.
+  A band whose storage exceeds ``BAND_LIMIT`` times the stored entries, as
+  a mesh much longer in its first axis gives, goes to sparse LU (``splu``)
+  instead: it is faster there and its fill a fraction of the band;
 * above that, preconditioned BiCGSTAB (CG with ``spd=True``) with one
   tighter retry and a sparse LU fallback (``splu``; a band would be about
   1 GB at 32^3).  The preconditioner is Jacobi unless the caller supplies
@@ -37,6 +42,11 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 DIRECT_LIMIT = 10_000
+# band storage over stored entries above which sparse LU is the direct solve.
+# Measured on u systems, splu takes 1.05x the band's time at 128x64 (44) and
+# 0.38x at 256x32 (88); 3D meshes cross over near 100.  Square meshes up to
+# DIRECT_LIMIT stay on the band (99^2: 34), cubic ones up to 18^3 (47)
+BAND_LIMIT = 48
 _EPS = float(np.finfo(float).eps)
 
 
@@ -113,15 +123,20 @@ def _relative_residual(ax, b, bnorm) -> float:
     return float(np.linalg.norm(ax - b)) / max(bnorm, _EPS)
 
 
-def _solve_banded(a: CsrMatrix, b):
-    """x and A x, from LAPACK's banded LU of A; A x is summed from the CSR
-    arrays, so no scipy form is built."""
+def _solve_direct(a: CsrMatrix, b):
+    """x and A x, from LAPACK's banded LU of A, or from sparse LU when the band
+    is wide; the band path sums A x from the CSR arrays, so it builds no scipy
+    form."""
     # array methods and slicing, not np.diff and np.repeat: on the tiny systems
     # of single-element meshes their Python-level checks cost more than the solve
     rows = np.arange(a.n).repeat(a.indptr[1:] - a.indptr[:-1])
     offsets = rows - a.indices
     kl = int(offsets.max(initial=0))
     ku = int(-offsets.min(initial=0))
+    if (2 * kl + ku + 1) * a.n > BAND_LIMIT * len(a.data):
+        a_op = a.to_scipy()
+        x = _solve_lu(a_op, b)
+        return x, a_op @ x
     # LAPACK band storage: A[i, j] at ab[kl + ku + i - j, j]; the first kl
     # rows are room for the fill-in of the pivoting
     ab = np.zeros((2 * kl + ku + 1, a.n), order="F")
@@ -164,8 +179,9 @@ def solve(
 ) -> np.ndarray:
     """Solve A x = b to relative residual <= tol_lin.
 
-    ``method`` is "auto" (banded LU up to DIRECT_LIMIT unknowns, otherwise
-    Krylov with a sparse LU fallback), "direct" (banded LU) or "iterative".
+    ``method`` is "auto" (direct up to DIRECT_LIMIT unknowns, otherwise
+    Krylov with a sparse LU fallback), "direct" (banded LU, or sparse LU for
+    a band wider than BAND_LIMIT allows) or "iterative".
     ``x0`` warm-starts the Krylov path; ``spd=True`` selects conjugate
     gradients there.  ``inverse`` (a function b -> A^-1 b) is tried before
     any other path; ``precond`` (a function approximating v -> A^-1 v)
@@ -201,7 +217,7 @@ def solve(
         x = _solve_lu(a_op, b)
         ax = a_op @ x
     else:
-        x, ax = _solve_banded(a, b)
+        x, ax = _solve_direct(a, b)
     residual = _relative_residual(ax, b, bnorm)
     if not np.isfinite(x).all() or residual > tol_lin:
         raise SolverFailure(

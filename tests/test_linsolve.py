@@ -138,6 +138,26 @@ def test_auto_path_solves_mesh_systems_without_splu(monkeypatch, system):
     assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("cells", [(4999, 1), (69, 69, 1), (256, 32)])
+def test_wide_band_takes_sparse_lu(monkeypatch, cells):
+    # the first axis is numbered fastest, so a mesh long in it gives a band
+    # far wider than its stored entries: 1.2 GB of band storage at 4999 x 1
+    dim = len(cells)
+    mesh = build_structured_mesh(dim, tuple((0.0, float(n)) for n in cells), cells, 0)
+    plan = AssemblyPlan(mesh)  # unit cells
+    a = combine([
+        (1.0, assemble_mass(mesh, plan)), (0.5, assemble_stiffness(mesh, plan))
+    ])
+    b = np.random.default_rng(6).standard_normal(a.n)
+
+    def no_band(*args, **kwargs):
+        raise AssertionError("a wide band should go to sparse LU")
+
+    monkeypatch.setattr(linsolve.lapack, "dgbsv", no_band)
+    x = solve(a, b)
+    assert relative_residual(a, x, b) <= 1e-12
+
+
 def test_failed_krylov_reaches_the_lu_fallback_once(monkeypatch):
     m, b = _mass_system(4)
     factorizations = []

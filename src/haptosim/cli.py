@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import itertools
 import sys
 from pathlib import Path
@@ -34,53 +35,23 @@ SCALING_TOL = 1e-7
 ODE_SELF_TOL = 1e-12
 
 
-def _load_config(path, overrides, out_dir=None) -> RunConfig:
-    pairs = []
-    if path is not None:
-        pairs = iocfg.read_pairs(Path(path).read_text(encoding="utf-8"))
-    pairs = iocfg.apply_overrides(pairs, overrides or [])
-    if out_dir is not None:
-        pairs = iocfg.apply_overrides(pairs, [f"out_dir={out_dir}"])
-    return iocfg.build_config(pairs)
+def _read_pairs(path):
+    if path is None:
+        return []
+    return iocfg.read_pairs(Path(path).read_text(encoding="utf-8"))
 
 
-def _snapshot_name(t) -> str:
-    return f"snapshot_t{t:g}.vtk"
+def load_config(pairs, overrides=(), out_dir=None) -> RunConfig:
+    """The config of file pairs with ``key=value`` overrides and, when given,
+    the output directory on top."""
+    overrides = list(overrides) + ([] if out_dir is None else [f"out_dir={out_dir}"])
+    return iocfg.build_config(iocfg.apply_overrides(pairs, overrides))
 
 
-def _emit_records(out: Path, records) -> None:
-    iocfg.write_diagnostics_csv(records, out / "diagnostics.csv")
-    iocfg.write_events_jsonl(records, out / "events.jsonl")
-
-
-def _emit_outputs(config: RunConfig, result: stepper.RunResult) -> None:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for t, state in result.snapshots:
-        iocfg.write_vtk(state, out / _snapshot_name(t))
-    _emit_records(out, result.diagnostics)
-    if result.breakdown is not None:
-        iocfg.write_vtk(result.state, out / f"breakdown_t{result.breakdown.time:g}.vtk")
-
-
-def _emit_early_stop(config: RunConfig, exc) -> int:
-    """Write the diagnostics of the steps committed before a failed step and
-    the last committed state; return the exit code of the failure."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _emit_records(out, exc.records)
-    iocfg.write_vtk(exc.state, out / f"last_good_t{exc.state.t:g}.vtk")
-    if isinstance(exc, stepper.NonconvergenceError):
-        return EXIT_NONCONVERGENCE
-    return EXIT_SOLVE
-
-
-def _cadence_writer(config: RunConfig):
+def _cadence_writer(config: RunConfig, out: Path):
     """Per-step VTK emission every ``vtk_every`` steps (0 disables it)."""
     if config.vtk_every <= 0:
         return None
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     def on_step(n, state):
         if n % config.vtk_every == 0:
@@ -89,32 +60,56 @@ def _cadence_writer(config: RunConfig):
     return on_step
 
 
+def _emit_records(out: Path, records) -> None:
+    iocfg.write_diagnostics_csv(records, out / "diagnostics.csv")
+    iocfg.write_events_jsonl(records, out / "events.jsonl")
+
+
+def run_and_emit(config: RunConfig):
+    """Run one config, write its outputs under ``config.out_dir`` and print
+    why it stopped early, if it did, and where its outputs are to stderr.
+
+    Returns the exit code and the diagnostics of the committed steps.  A
+    stop by nonconvergence or a linear-solve failure still writes those
+    diagnostics and the last committed state.
+    """
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        result = stepper.run(config, on_step=_cadence_writer(config, out))
+    except (stepper.NonconvergenceError, stepper.StepError) as exc:
+        stalled = isinstance(exc, stepper.NonconvergenceError)
+        print(f"{'nonconvergence' if stalled else 'linear-solve failure'}: {exc}; "
+              f"outputs in {out}", file=sys.stderr)
+        _emit_records(out, exc.records)
+        iocfg.write_vtk(exc.state, out / f"last_good_t{exc.state.t:g}.vtk")
+        return (EXIT_NONCONVERGENCE if stalled else EXIT_SOLVE), exc.records
+    for t, state in result.snapshots:
+        iocfg.write_vtk(state, out / f"snapshot_t{t:g}.vtk")
+    _emit_records(out, result.diagnostics)
+    b = result.breakdown
+    if b is None:
+        return EXIT_OK, result.diagnostics
+    iocfg.write_vtk(result.state, out / f"breakdown_t{b.time:g}.vtk")
+    print(
+        f"breakdown at t = {b.time:g} (sweep {b.iteration}, field {b.field}): "
+        f"{b.reason}; outputs in {out}",
+        file=sys.stderr,
+    )
+    return EXIT_BREAKDOWN, result.diagnostics
+
+
 def cmd_run(args) -> int:
     try:
-        config = _load_config(args.config, args.set, args.out)
+        config = load_config(_read_pairs(args.config), args.set, args.out)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        result = stepper.run(config, on_step=_cadence_writer(config))
-    except stepper.NonconvergenceError as exc:
-        print(f"nonconvergence: {exc}", file=sys.stderr)
-        return _emit_early_stop(config, exc)
-    except stepper.StepError as exc:
-        print(f"linear-solve failure: {exc}", file=sys.stderr)
-        return _emit_early_stop(config, exc)
-    _emit_outputs(config, result)
-    if result.breakdown is not None:
-        b = result.breakdown
-        print(
-            f"breakdown at t = {b.time:g} (sweep {b.iteration}, field {b.field}): "
-            f"{b.reason}",
-            file=sys.stderr,
-        )
-        return EXIT_BREAKDOWN
-    print(f"completed {config.n_steps} steps to t = {config.params.t_final:g}; "
-          f"outputs in {config.out_dir}")
-    return EXIT_OK
+    code, _ = run_and_emit(config)
+    if code == EXIT_OK:
+        print(f"completed {config.n_steps} steps to t = {config.params.t_final:g}; "
+              f"outputs in {config.out_dir}")
+    return code
 
 
 def _parse_axes(axis_args):
@@ -130,91 +125,68 @@ def _parse_axes(axis_args):
     return axes
 
 
+def sweep_members(axes, out_root: Path):
+    """Each member's (key, value) pairs and output directory, the axes
+    expanded as a Cartesian product."""
+    members = []
+    for combo in itertools.product(*(values for _, values in axes)):
+        key_values = [(key, v) for (key, _), v in zip(axes, combo)]
+        subdir = out_root / "_".join(f"{k}-{v}" for k, v in key_values)
+        members.append((key_values, str(subdir)))
+    return members
+
+
 def _sweep_child(pairs, key_values, out_dir):
-    """Run one sweep combination; returns (exit code, summary fields)."""
-    overrides = [f"{k}={v}" for k, v in key_values] + [f"out_dir={out_dir}"]
+    """Run one sweep member; returns its exit code and max u per snapshot
+    time (None past the last committed step, none at all on a config error)."""
     try:
-        config = iocfg.build_config(iocfg.apply_overrides(pairs, overrides))
+        config = load_config(pairs, [f"{k}={v}" for k, v in key_values], out_dir)
     except ConfigError as exc:
-        return EXIT_CONFIG, {"error": str(exc)}
-    try:
-        result = stepper.run(config)
-    except (stepper.NonconvergenceError, stepper.StepError) as exc:
-        code = _emit_early_stop(config, exc)
-        return code, {"peaks": _snapshot_peaks(config, exc.records), "breakdown": 0}
-    _emit_outputs(config, result)
-    code = EXIT_BREAKDOWN if result.breakdown is not None else EXIT_OK
-    return code, {
-        "peaks": _snapshot_peaks(config, result.diagnostics),
-        "breakdown": int(result.breakdown is not None),
-    }
-
-
-def _snapshot_peaks(config, records):
-    """max u at each snapshot time the records reach (None past their end)."""
+        print(f"config error in {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG, {}
+    code, records = run_and_emit(config)
     peaks = {}
     for t in config.snapshots:
-        # diagnostics row n belongs to step n, so index by step number
-        idx = int(round(t / config.params.dt))
-        peaks[t] = records[idx].max_u if idx < len(records) else None
-    return peaks
+        n = config.params.steps_to(t)  # diagnostics row n belongs to step n
+        peaks[t] = records[n].max_u if n < len(records) else None
+    return code, peaks
 
 
 def cmd_sweep(args) -> int:
     try:
         axes = _parse_axes(args.axis)
-        pairs = []
-        if args.config is not None:
-            pairs = iocfg.read_pairs(Path(args.config).read_text(encoding="utf-8"))
-        base = iocfg.build_config(
-            iocfg.apply_overrides(pairs, [f"out_dir={args.out}"] if args.out else [])
-        )
+        pairs = _read_pairs(args.config)
+        base = load_config(pairs, out_dir=args.out)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_root = Path(args.out) if args.out else Path(base.out_dir)
+    out_root = Path(base.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-
-    combos = list(itertools.product(*(values for _, values in axes)))
-    keys = [key for key, _ in axes]
-    jobs = []
-    for combo in combos:
-        key_values = list(zip(keys, combo))
-        subdir = out_root / "_".join(f"{k}-{v}" for k, v in key_values)
-        jobs.append((key_values, str(subdir)))
-
-    results = [None] * len(jobs)
+    members = sweep_members(axes, out_root)
+    child = functools.partial(_sweep_child, pairs)
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                pool.submit(_sweep_child, pairs, kv, sub): i
-                for i, (kv, sub) in enumerate(jobs)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
+            results = list(pool.map(child, *zip(*members)))
     else:
-        for i, (kv, sub) in enumerate(jobs):
-            results[i] = _sweep_child(pairs, kv, sub)
+        results = [child(kv, sub) for kv, sub in members]
 
-    snapshot_times = base.snapshots
     summary = out_root / "summary.csv"
     with open(summary, "w", encoding="ascii") as fh:
-        head = keys + [f"max_u_t{t:g}" for t in snapshot_times] + ["breakdown", "exit"]
+        head = [key for key, _ in axes]
+        head += [f"max_u_t{t:g}" for t in base.snapshots] + ["breakdown", "exit"]
         fh.write(",".join(head) + "\n")
-        for (key_values, _), (code, info) in zip(jobs, results):
+        for (key_values, _), (code, peaks) in zip(members, results):
             row = [v for _, v in key_values]
-            peaks = info.get("peaks", {})
-            for t in snapshot_times:
+            for t in base.snapshots:
                 value = peaks.get(t)
                 row.append("" if value is None else repr(float(value)))
-            row.append(str(info.get("breakdown", "")))
+            row.append("" if code == EXIT_CONFIG else str(int(code == EXIT_BREAKDOWN)))
             row.append(str(code))
             fh.write(",".join(row) + "\n")
 
-    print(f"swept {len(jobs)} runs; summary in {summary}")
-    worst = max((code for code, _ in results), default=EXIT_OK)
-    return worst
+    print(f"swept {len(members)} runs; summary in {summary}")
+    return max((code for code, _ in results), default=EXIT_OK)
 
 
 def cmd_verify(args) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,10 +20,10 @@ from . import model
 from .mesh import StructuredMesh, build_structured_mesh
 from .model import InitialData, Parameters, SimState
 
+# the model and scheme constants are the fields of Parameters, in its order
 CONFIG_KEYS = (
     "dim", "domain_min", "domain_max", "base_cells", "refinements",
-    "alpha", "chi", "mu", "epsilon", "theta", "dt", "t_final", "beta",
-    "accel", "tol_fp", "max_fp_iters", "tol_lin", "blowup_threshold",
+    *(f.name for f in fields(Parameters)),
     "initial", "snapshots", "out_dir", "vtk_every",
 )
 
@@ -62,7 +62,7 @@ class RunConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.params.t_final / self.params.dt))
+        return self.params.n_steps
 
 
 def read_pairs(text: str):
@@ -119,11 +119,6 @@ def _per_axis(key, values, dim, lineno=0):
     return values
 
 
-def _is_step_multiple(t, dt) -> bool:
-    ratio = t / dt
-    return abs(ratio - round(ratio)) <= 1e-12 * max(1.0, abs(ratio))
-
-
 def build_config(pairs) -> RunConfig:
     """Validate key/value pairs (as from :func:`read_pairs`) into a RunConfig."""
     seen = {}
@@ -165,44 +160,31 @@ def build_config(pairs) -> RunConfig:
     if refinements < 0:
         raise ConfigError(f"refinements must be >= 0, got {refinements}")
 
-    float_keys = (
-        "alpha", "chi", "mu", "epsilon", "theta", "dt", "t_final", "beta",
-        "tol_fp", "tol_lin", "blowup_threshold",
-    )
     numbers = {}
-    for key in float_keys:
-        if key in seen:
-            lineno, value = seen[key]
-            numbers[key] = _parse_float(key, value, lineno)
-    for key in ("accel", "max_fp_iters"):
-        if key in seen:
-            lineno, value = seen[key]
-            numbers[key] = _parse_int(key, value, lineno)
-    try:
-        params = Parameters(**numbers)
-    except model.ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    if not _is_step_multiple(params.t_final, params.dt):
-        raise ConfigError(
-            f"t_final = {params.t_final} is not a whole number of steps of dt = {params.dt}"
-        )
-
-    lineno, value = raw("initial", "corner-gaussian")
-    initial = value
-    if initial not in model.INITIAL_FAMILIES:
-        known = ", ".join(sorted(model.INITIAL_FAMILIES))
-        raise ConfigError(f"unknown initial-data family {initial!r} (known: {known})")
+    for f in fields(Parameters):
+        if f.name in seen:
+            lineno, value = seen[f.name]
+            parse = _parse_int if isinstance(f.default, int) else _parse_float
+            numbers[f.name] = parse(f.name, value, lineno)
 
     lineno, value = raw("snapshots", "5, 15, 25, 35")
     snapshots = _parse_float_list("snapshots", value, lineno)
     for t in snapshots:
         if t < 0.0:
             raise ConfigError(f"snapshot time {t} is negative")
-        if not _is_step_multiple(t, params.dt):
-            raise ConfigError(
-                f"snapshot time {t} does not land on a step boundary of dt = {params.dt}"
-            )
+    try:
+        params = Parameters(**numbers)
+        params.n_steps  # the final time and each snapshot lie on a step boundary
+        for t in snapshots:
+            params.steps_to(t, "snapshot time")
+    except model.ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    lineno, value = raw("initial", "corner-gaussian")
+    initial = value
+    if initial not in model.INITIAL_FAMILIES:
+        known = ", ".join(sorted(model.INITIAL_FAMILIES))
+        raise ConfigError(f"unknown initial-data family {initial!r} (known: {known})")
 
     _, value = raw("out_dir", None)
     out_dir = value if value is not None else os.environ.get("HAPTOSIM_OUT", "out")
@@ -249,26 +231,13 @@ def render_config(config: RunConfig) -> str:
     def floats(values):
         return ", ".join(repr(float(v)) for v in values)
 
-    p = config.params
     lines = [
         f"dim = {config.dim}",
         f"domain_min = {floats(lo for lo, _ in config.extents)}",
         f"domain_max = {floats(hi for _, hi in config.extents)}",
         f"base_cells = {', '.join(str(b) for b in config.base_cells)}",
         f"refinements = {config.refinements}",
-        f"alpha = {p.alpha!r}",
-        f"chi = {p.chi!r}",
-        f"mu = {p.mu!r}",
-        f"epsilon = {p.epsilon!r}",
-        f"theta = {p.theta!r}",
-        f"dt = {p.dt!r}",
-        f"t_final = {p.t_final!r}",
-        f"beta = {p.beta!r}",
-        f"accel = {p.accel}",
-        f"tol_fp = {p.tol_fp!r}",
-        f"max_fp_iters = {p.max_fp_iters}",
-        f"tol_lin = {p.tol_lin!r}",
-        f"blowup_threshold = {p.blowup_threshold!r}",
+        *(f"{f.name} = {getattr(config.params, f.name)}" for f in fields(Parameters)),
         f"initial = {config.initial}",
         f"snapshots = {floats(config.snapshots)}" if config.snapshots else "snapshots =",
         f"out_dir = {config.out_dir}",

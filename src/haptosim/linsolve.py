@@ -174,20 +174,18 @@ def _solve_krylov(a_scipy, b, tol_lin, x0=None, spd=False, precond=None):
 
 
 def solve(
-    a: CsrMatrix, b, tol_lin=1e-12, method="auto", x0=None, spd=False,
-    inverse=None, precond=None,
+    a: CsrMatrix, b, tol_lin=1e-12, x0=None, spd=False, inverse=None, precond=None,
 ) -> np.ndarray:
     """Solve A x = b to relative residual <= tol_lin.
 
-    ``method`` is "auto" (direct up to DIRECT_LIMIT unknowns, otherwise
-    Krylov with a sparse LU fallback), "direct" (banded LU, or sparse LU for
-    a band wider than BAND_LIMIT allows) or "iterative".
-    ``x0`` warm-starts the Krylov path; ``spd=True`` selects conjugate
-    gradients there.  ``inverse`` (a function b -> A^-1 b) is tried before
-    any other path; ``precond`` (a function approximating v -> A^-1 v)
-    replaces Jacobi as the Krylov preconditioner.  None of these affects the
-    residual contract: a result that misses tol_lin falls through to the next
-    path.
+    Up to DIRECT_LIMIT unknowns the solve is direct (banded LU, or sparse LU
+    for a band wider than BAND_LIMIT allows), above it Krylov with a sparse
+    LU fallback.  ``x0`` warm-starts the Krylov path; ``spd=True`` selects
+    conjugate gradients there.  ``inverse`` (a function b -> A^-1 b) is tried
+    before any other path; ``precond`` (a function approximating
+    v -> A^-1 v) replaces Jacobi as the Krylov preconditioner.  None of these
+    affects the residual contract: a result that misses tol_lin falls through
+    to the next path.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (a.n,):
@@ -206,9 +204,7 @@ def solve(
         if np.isfinite(x).all() and _relative_residual(a.to_scipy() @ x, b, bnorm) <= tol_lin:
             return x
 
-    if method == "auto":
-        method = "direct" if a.n <= DIRECT_LIMIT else "iterative"
-    if method == "iterative":
+    if a.n > DIRECT_LIMIT:
         a_op = a.to_scipy()
         for tol in (tol_lin, tol_lin * 1e-2):  # one tighter retry before LU
             x = _solve_krylov(a_op, b, tol, x0=x0, spd=spd, precond=precond)

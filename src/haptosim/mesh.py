@@ -24,7 +24,7 @@ class MeshError(ValueError):
 
 
 class InterpolationError(ValueError):
-    """A pointwise function produced a non-finite nodal value."""
+    """An interpolated function produced a non-finite nodal value."""
 
 
 @dataclass(frozen=True)
@@ -157,17 +157,19 @@ def build_structured_mesh(dim, extents, base_cells_per_axis, refinements=0):
 
 
 def interpolate(f, mesh: StructuredMesh) -> FeField:
-    """Lagrange-interpolate a pointwise function into a nodal field.
+    """Lagrange-interpolate a function into a nodal field.
 
-    ``f`` is called once per node with the node coordinate (a length-dim
-    array) and must return a finite scalar.
+    ``f`` is called once, with the (n_nodes, dim) array of node coordinates,
+    and returns the n_nodes nodal values, or one scalar for every node; all
+    of them must be finite.
     """
-    values = np.empty(mesh.n_nodes)
-    for i, x in enumerate(mesh.node_coords):
-        v = float(f(x))
-        if not np.isfinite(v):
-            raise InterpolationError(
-                f"function returned non-finite value {v} at node {i}, x={tuple(x)}"
-            )
-        values[i] = v
+    values = np.asarray(f(mesh.node_coords), dtype=float)
+    values = np.broadcast_to(values, (mesh.n_nodes,)).copy()
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise InterpolationError(
+            f"function returned non-finite value {values[i]} at node {i}, "
+            f"x={tuple(mesh.node_coords[i])}"
+        )
     return FeField(mesh, values)

@@ -86,15 +86,50 @@ class Parameters:
                 f"max_fp_iters must be a positive integer, got {self.max_fp_iters}"
             )
 
+    def steps_to(self, t, what="time") -> int:
+        """The number of steps of dt from 0 to t.
+
+        Raises ParameterError unless t / dt is a finite whole number to a
+        relative 1e-12, that is unless t lands on a step boundary.
+        """
+        ratio = t / self.dt
+        if not (math.isfinite(ratio)
+                and abs(ratio - round(ratio)) <= 1e-12 * max(1.0, abs(ratio))):
+            raise ParameterError(
+                f"{what} = {t} is not a whole number of steps of dt = {self.dt}: "
+                "it does not land on a step boundary"
+            )
+        return int(round(ratio))
+
+    @property
+    def n_steps(self) -> int:
+        """The number of steps to t_final; see :meth:`steps_to`."""
+        return self.steps_to(self.t_final, "t_final")
+
 
 @dataclass(frozen=True)
 class InitialData:
-    """Pointwise initial profiles for the three fields."""
+    """Initial profiles for the three fields.
+
+    Each maps an (n, dim) array of points to their n values, or to one
+    scalar for all of them.
+    """
 
     name: str
     u0: Callable
     c0: Callable
     p0: Callable
+
+
+def _gaussian(x) -> np.ndarray:
+    """exp(-|x|^2) at each row of x.
+
+    |x|^2 is a row-times-column matmul per point, the dot product that
+    ``np.dot`` computes for one point, and the exponential is ``math.exp``
+    per point: ``np.exp`` differs from it in the last bit on some nodes.
+    """
+    squares = (x[..., None, :] @ x[..., :, None]).ravel()
+    return np.array([math.exp(-r) for r in squares.tolist()])
 
 
 def corner_gaussian_initial_data() -> InitialData:
@@ -104,16 +139,12 @@ def corner_gaussian_initial_data() -> InitialData:
     the matrix is intact away from the seed and half degraded underneath it,
     with protease proportional to the cell density.
     """
-    def u0(x):
-        return math.exp(-float(np.dot(x, x)))
-
-    def c0(x):
-        return 1.0 - 0.5 * math.exp(-float(np.dot(x, x)))
-
-    def p0(x):
-        return 0.5 * math.exp(-float(np.dot(x, x)))
-
-    return InitialData("corner-gaussian", u0, c0, p0)
+    return InitialData(
+        "corner-gaussian",
+        _gaussian,
+        lambda x: 1.0 - 0.5 * _gaussian(x),
+        lambda x: 0.5 * _gaussian(x),
+    )
 
 
 INITIAL_FAMILIES = {
@@ -177,7 +208,8 @@ class RescaledProblem:
 
     Positions map as  x_new = x / sqrt(chi),  times as  t_new = t / epsilon,
     and the matrix/protease amplitudes carry a factor epsilon.  The original
-    (chi, epsilon) pair is retained for the space, time and amplitude factors.
+    (chi, epsilon) pair is retained; epsilon gives the time and amplitude
+    factors.
     """
 
     params: Parameters
@@ -185,11 +217,6 @@ class RescaledProblem:
     initial: InitialData
     source_chi: float
     source_epsilon: float
-
-    @property
-    def space_factor(self) -> float:
-        """Multiply original coordinates by this to get rescaled coordinates."""
-        return 1.0 / math.sqrt(self.source_chi)
 
     @property
     def time_factor(self) -> float:

@@ -266,6 +266,14 @@ def fixed_point_advance(
 
     x = np.concatenate((un, cn, pn))  # the sweep iterate, starts at the old level
     u_old, c_old, p_old = _blocks(x)
+    if not np.isfinite(x).all():  # an old state flagged as a breakdown artifact
+        name = next(n for n, v in zip("ucp", (un, cn, pn)) if not np.isfinite(v).all())
+        report = BreakdownReport(t_new, 1, name, "non-finite values in the old state",
+                                 float("nan"))
+        return (
+            _breakdown_state(state, t_new, u_old, c_old, p_old),
+            FixedPointReport(1, False, report),
+        )
     warm_u, warm_c, warm_p = un, cn, pn  # raw solutions of the previous sweep
     depth = params.accel
     if depth:
@@ -286,7 +294,7 @@ def fixed_point_advance(
             c_new = _c_solve(ops, params, p_old, rhs_c, x0=warm_c)
             p_new = _p_solve(ops, params, u_new, c_new, rhs_p_const, x0=warm_p)
         except fem.AssemblyError as exc:
-            # the old state or the iterates went non-finite between checks
+            # a mixed iterate overflowed, although what it mixes was finite
             report = BreakdownReport(t_new, k, "iterate", str(exc), float("nan"))
             return (
                 _breakdown_state(state, t_new, u_old, c_old, p_old),
@@ -409,27 +417,19 @@ def simulate(
 ) -> RunResult:
     """Run the time loop from an interpolated initial state.
 
-    Snapshot times must land on step boundaries.  Diagnostics are recorded
-    for the initial state and every completed step (diagnostics row ``n``
-    belongs to step ``n``); on breakdown the partial results are returned
+    t_final and the snapshot times must land on step boundaries, or
+    :meth:`Parameters.steps_to` raises.  Diagnostics are recorded for the
+    initial state and every completed step (diagnostics row ``n`` belongs to
+    step ``n``); on breakdown the partial results are returned
     together with the report.  A :class:`NonconvergenceError` or
     :class:`StepError` carries the records of the steps committed before it
     and the last committed state.
     ``on_step(step_index, state)``, when given, is called after every
     committed step.
     """
+    n_steps = params.n_steps
+    snapshot_steps = {params.steps_to(t, "snapshot time"): t for t in snapshot_times}
     ops = ops or Operators(state0.mesh)
-    n_steps = int(round(params.t_final / params.dt))
-    if abs(n_steps * params.dt - params.t_final) > 1e-9 * max(1.0, params.t_final):
-        raise ValueError(
-            f"t_final = {params.t_final} is not a whole number of steps of dt = {params.dt}"
-        )
-    snapshot_steps = {}
-    for t in snapshot_times:
-        step = int(round(t / params.dt))
-        if abs(step * params.dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"snapshot time {t} does not land on a step boundary")
-        snapshot_steps[step] = t
 
     state = state0
     records = [_record(state, ops, 0, 0)]

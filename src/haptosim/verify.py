@@ -118,15 +118,12 @@ def temporal_order_study(
 
     Runs the full scheme on a single-element mesh (where it reduces to the
     nodal reaction ODEs), compares endpoints against the reference
-    integrator, and fits the log-log slope by least squares.
+    integrator, and fits the log-log slope by least squares.  A step size
+    that does not divide t_end raises StudyError when its run is reached.
     """
     dts = tuple(float(dt) for dt in dts)
     if len(dts) < 2 or len(set(dts)) != len(dts):
         raise StudyError(f"need at least two distinct step sizes, got {dts}")
-    for dt in dts:
-        ratio = t_end / dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
-            raise StudyError(f"t_end = {t_end} is not a whole number of steps of {dt}")
 
     mesh = build_structured_mesh(2, ((0.0, 1.0), (0.0, 1.0)), (1, 1), 0)
     initial = constant_initial_data(*y0)

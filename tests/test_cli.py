@@ -1,6 +1,9 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from haptosim import cli
 from haptosim.iocfg import parse_config, read_diagnostics_csv
@@ -167,6 +170,66 @@ def test_run_vtk_cadence(tmp_path):
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
     steps = sorted(p.name for p in out.iterdir() if p.name.startswith("step_"))
     assert steps == ["step_000002.vtk", "step_000004.vtk"]
+
+
+def test_sweep_member_writes_the_vtk_cadence(tmp_path):
+    cfg = write_config(tmp_path, "refinements = 1\nt_final = 2\nsnapshots =\nvtk_every = 1\n")
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", cfg, "--axis", "mu=0.3", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    steps = sorted(p.name for p in (out / "mu-0.3").glob("step_*.vtk"))
+    assert steps == ["step_000001.vtk", "step_000002.vtk"]
+    check_vtk_file(out / "mu-0.3" / "step_000001.vtk")
+
+
+def readme_experiments():
+    """The commands of the README's block of the paper's experiments."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("### The paper's experiments", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("haptosim ")]
+
+
+def experiment_configs(argv):
+    """The configs that a README command would run, built without running."""
+    assert argv[0] == "haptosim"
+    args = cli.build_parser().parse_args(argv[1:])
+    assert args.config is None
+    if args.command == "run":
+        return [cli.load_config([], args.set, args.out)]
+    members = cli.sweep_members(cli._parse_axes(args.axis), Path(args.out))
+    return [
+        cli.load_config([], [f"{k}={v}" for k, v in key_values], out_dir)
+        for key_values, out_dir in members
+    ]
+
+
+# (dim, mu, chi, t_final, snapshots, out_dir) of each member, in command order
+PAPER_EXPERIMENTS = [
+    [(2, mu, 0.01, 50.0, (5.0, 15.0, 25.0, 35.0), f"out/mu_sweep/mu-{name}_chi-0.01")
+     for mu, name in ((1e-10, "1e-10"), (0.5, "0.5"), (1.0, "1.0"))],
+    [(2, 0.01, chi, 50.0, (5.0, 15.0, 25.0, 35.0), f"out/chi_sweep/chi-{chi}_mu-0.01")
+     for chi in (0.25, 0.75, 1.25)],
+    [(2, 1.0, 1.0, 50.0, (0.0, 10.0, 20.0, 30.0), "out/equal_rates")],
+    [(3, 1.0, 1.0, 35.0, (5.0, 15.0, 25.0, 35.0), "out/invasion_3d")],
+]
+
+
+@pytest.mark.parametrize(
+    "index", range(len(PAPER_EXPERIMENTS)),
+    ids=["mu-sweep", "chi-sweep", "equal-rates", "invasion-3d"],
+)
+def test_readme_experiment_commands_build_their_configs(index):
+    commands = readme_experiments()
+    assert len(commands) == len(PAPER_EXPERIMENTS)
+    configs = experiment_configs(commands[index])
+    got = [
+        (c.dim, c.params.mu, c.params.chi, c.params.t_final, c.snapshots, c.out_dir)
+        for c in configs
+    ]
+    assert got == [(*e[:5], str(Path(e[5]))) for e in PAPER_EXPERIMENTS[index]]
+    for c in configs:  # the reference grid: 32 cells per axis
+        assert c.base_cells == (1,) * c.dim and c.refinements == 5
 
 
 def test_sweep_cartesian_expansion(tmp_path):

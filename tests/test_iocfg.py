@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haptosim.iocfg import (
+    CONFIG_KEYS,
     ConfigError,
     apply_overrides,
     build_config,
@@ -45,6 +47,12 @@ def test_empty_config_gives_documented_defaults():
     assert cfg.n_steps == 50
 
 
+def test_readme_lists_the_recognized_keys():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("Recognized keys:\n\n```\n", 1)[1].split("```", 1)[0]
+    assert tuple(key.strip() for key in block.replace("\n", " ").split(",")) == CONFIG_KEYS
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config(
         "# a comment\n\nmu = 0.25  # trailing comment\n   \nchi = 0.75\n"
@@ -71,6 +79,9 @@ def test_haptotaxis_sweep_configuration():
         ("snapshots = 2.5\n", "step boundary"),
         ("snapshots = -5\n", "negative"),
         ("t_final = 10.5\n", "whole number"),
+        ("dt = 1e-320\n", "whole number"),
+        ("snapshots = inf\n", "step boundary"),
+        ("snapshots = nan\n", "step boundary"),
         ("domain_min = 5\ndomain_max = 5\n", "empty"),
         ("base_cells = 0\n", "base_cells"),
         ("refinements = -1\n", "refinements"),

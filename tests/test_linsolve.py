@@ -26,6 +26,14 @@ def relative_residual(a, x, b) -> float:
     return np.linalg.norm(a.matvec(x) - b) / np.linalg.norm(b)
 
 
+def take_path(monkeypatch, method):
+    """Send the solves of a test down one path: "iterative" (Krylov with the
+    sparse LU fallback) by lowering DIRECT_LIMIT below every system; "direct"
+    and "auto" leave it, above every system of these tests."""
+    if method == "iterative":
+        monkeypatch.setattr(linsolve, "DIRECT_LIMIT", 0)
+
+
 def test_solve_identity():
     a = csr(np.eye(4))
     b = np.array([3.0, -1.0, 0.5, 2.0])
@@ -47,12 +55,13 @@ def test_solve_mass_matrix_constructed_rhs():
 
 
 @pytest.mark.parametrize("method", ["direct", "iterative"])
-def test_solve_contract_on_both_paths(method):
+def test_solve_contract_on_both_paths(method, monkeypatch):
+    take_path(monkeypatch, method)
     mesh = build_structured_mesh(2, ((0.0, 1.0), (0.0, 1.0)), (4, 4), 0)
     m = assemble_mass(mesh)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(m.n)
-    x = solve(m, b, method=method)
+    x = solve(m, b)
     assert relative_residual(m, x, b) <= 1e-12
 
 
@@ -69,10 +78,11 @@ def test_singular_matrix_raises_with_residual():
 
 
 @pytest.mark.parametrize("cells, method", [(1, "auto"), (4, "direct"), (4, "iterative")])
-def test_unreachable_tolerance_raises_on_every_path(cells, method):
+def test_unreachable_tolerance_raises_on_every_path(cells, method, monkeypatch):
+    take_path(monkeypatch, method)
     m, b = _mass_system(cells)
     with pytest.raises(SolverFailure) as err:
-        solve(m, b, tol_lin=1e-30, method=method)
+        solve(m, b, tol_lin=1e-30)
     assert 1e-30 < err.value.residual < 1e-12
 
 
@@ -169,7 +179,8 @@ def test_failed_krylov_reaches_the_lu_fallback_once(monkeypatch):
 
     monkeypatch.setattr(linsolve.spla, "bicgstab", lambda a, b, **kw: (np.zeros_like(b), 1))
     monkeypatch.setattr(linsolve.spla, "splu", counted)
-    x = solve(m, b, method="iterative")
+    take_path(monkeypatch, "iterative")
+    x = solve(m, b)
     assert relative_residual(m, x, b) <= 1e-12
     assert len(factorizations) == 1
 
@@ -231,26 +242,28 @@ def test_solve_spmv_round_trip_on_mass(seed):
     assert np.max(np.abs(back - x)) <= 1e-9  # tol_lin times mild conditioning
 
 
-def test_solve_is_deterministic():
+def test_solve_is_deterministic(monkeypatch):
     mesh = build_structured_mesh(2, ((0.0, 1.0), (0.0, 1.0)), (4, 4), 0)
     m = assemble_mass(mesh)
     rng = np.random.default_rng(42)
     b = rng.standard_normal(m.n)
-    x1 = solve(m, b, method="iterative")
-    x2 = solve(m, b, method="iterative")
-    assert x1.tobytes() == x2.tobytes()
     y1 = solve(m, b)
     y2 = solve(m, b)
     assert y1.tobytes() == y2.tobytes()
+    take_path(monkeypatch, "iterative")
+    x1 = solve(m, b)
+    x2 = solve(m, b)
+    assert x1.tobytes() == x2.tobytes()
 
 
-def test_warm_start_still_meets_contract():
+def test_warm_start_still_meets_contract(monkeypatch):
     mesh = build_structured_mesh(2, ((0.0, 1.0), (0.0, 1.0)), (4, 4), 0)
     m = assemble_mass(mesh)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(m.n)
     exact = solve(m, b)
-    warm = solve(m, b, method="iterative", x0=exact + 1e-3, spd=True)
+    take_path(monkeypatch, "iterative")
+    warm = solve(m, b, x0=exact + 1e-3, spd=True)
     assert relative_residual(m, warm, b) <= 1e-12
 
 
@@ -280,9 +293,10 @@ def test_exact_inverse_is_used_without_factoring(monkeypatch):
     [lambda v: v, lambda v: np.zeros_like(v), lambda v: np.full_like(v, np.nan)],
     ids=["identity", "zero", "nan"],
 )
-def test_wrong_inverse_falls_through_to_contract(cells, method, wrong):
+def test_wrong_inverse_falls_through_to_contract(cells, method, wrong, monkeypatch):
+    take_path(monkeypatch, method)
     m, b = _mass_system(cells)
-    x = solve(m, b, tol_lin=1e-12, method=method, inverse=wrong)
+    x = solve(m, b, tol_lin=1e-12, inverse=wrong)
     assert relative_residual(m, x, b) <= 1e-12
 
 
@@ -292,9 +306,10 @@ def test_wrong_inverse_falls_through_to_contract(cells, method, wrong):
     ids=["identity", "zero", "negated"],
 )
 @pytest.mark.parametrize("spd", [False, True])
-def test_wrong_preconditioner_still_meets_contract(wrong, spd):
+def test_wrong_preconditioner_still_meets_contract(wrong, spd, monkeypatch):
+    take_path(monkeypatch, "iterative")
     m, b = _mass_system(12)
-    x = solve(m, b, tol_lin=1e-12, method="iterative", spd=spd, precond=wrong)
+    x = solve(m, b, tol_lin=1e-12, spd=spd, precond=wrong)
     assert relative_residual(m, x, b) <= 1e-12
 
 

@@ -102,10 +102,10 @@ def test_interpolate_constant():
 
 def test_interpolate_gaussian_values():
     mesh = build_structured_mesh(2, BOX_2D, (1, 1), 2)
-    f = interpolate(lambda x: math.exp(-float(np.dot(x, x))), mesh)
+    f = interpolate(lambda x: np.exp(-(x * x).sum(axis=1)), mesh)
     origin = np.where((mesh.node_coords == 0).all(axis=1))[0][0]
     assert f.coeffs[origin] == 1.0
-    g = interpolate(lambda x: 1.0 - 0.5 * math.exp(-float(np.dot(x, x))), mesh)
+    g = interpolate(lambda x: 1.0 - 0.5 * np.exp(-(x * x).sum(axis=1)), mesh)
     far = np.where((mesh.node_coords == 20.0).all(axis=1))[0][0]
     # 1 - 0.5 exp(-800) is exactly 1.0 at double precision
     assert g.coeffs[far] == 1.0
@@ -117,10 +117,10 @@ def test_interpolate_is_linear(a, b):
     mesh = build_structured_mesh(2, UNIT_SQUARE, (2, 2), 0)
 
     def f(x):
-        return math.sin(x[0]) + x[1]
+        return np.sin(x[:, 0]) + x[:, 1]
 
     def g(x):
-        return x[0] * x[1] - 0.5
+        return x[:, 0] * x[:, 1] - 0.5
 
     combined = interpolate(lambda x: a * f(x) + b * g(x), mesh)
     split = a * interpolate(f, mesh).coeffs + b * interpolate(g, mesh).coeffs
@@ -131,10 +131,13 @@ def test_interpolate_nonfinite_names_node():
     mesh = build_structured_mesh(2, UNIT_SQUARE, (1, 1), 0)
 
     def bad(x):
-        return math.inf if x[0] == 1.0 and x[1] == 0.0 else 0.0
+        return np.where((x[:, 0] == 1.0) & (x[:, 1] == 0.0), math.inf, 0.0)
 
     with pytest.raises(InterpolationError, match="node 1"):
         interpolate(bad, mesh)
+    # the first non-finite node is named when there are several
+    with pytest.raises(InterpolationError, match="node 2"):
+        interpolate(lambda x: np.where(x[:, 1] == 1.0, math.nan, 0.0), mesh)
 
 
 def test_fe_field_length_check():

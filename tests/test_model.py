@@ -81,6 +81,18 @@ def test_initial_data_pointwise_identities(x, y, z, three_d):
     assert data.p0(point) == 0.5 * data.u0(point)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_corner_gaussian_nodes_equal_the_per_point_formula(dim):
+    # extents whose node coordinates round, so |x|^2 depends on the order
+    # and fusion of its operations; the profiles take all nodes at once
+    mesh = build_structured_mesh(dim, [(-1.3, 2.9)] * dim, (3,) * dim, 2)
+    state = interpolate_initial_state(corner_gaussian_initial_data(), mesh)
+    gauss = np.array([math.exp(-float(np.dot(x, x))) for x in mesh.node_coords])
+    assert state.u.coeffs.tobytes() == gauss.tobytes()
+    assert state.c.coeffs.tobytes() == np.array([1.0 - 0.5 * g for g in gauss]).tobytes()
+    assert state.p.coeffs.tobytes() == np.array([0.5 * g for g in gauss]).tobytes()
+
+
 def test_initial_family_lookup():
     assert initial_data_family("corner-gaussian").name == "corner-gaussian"
     with pytest.raises(ParameterError):

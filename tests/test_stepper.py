@@ -139,7 +139,8 @@ def test_fixed_point_decoupled_linear_regime_converges_second_sweep(unit_mesh):
     params = Parameters(chi=0.0, mu=1e-300, theta=0.5, dt=1.0, beta=1.0)
     state = SimState(
         0.0,
-        interpolate(lambda x: math.exp(-float(np.dot(x, x))), unit_mesh),
+        interpolate(lambda x: np.array([math.exp(-r) for r in (x * x).sum(axis=1)]),
+                    unit_mesh),
         interpolate(lambda x: 0.0, unit_mesh),
         interpolate(lambda x: 0.0, unit_mesh),
     )
@@ -211,7 +212,19 @@ def test_nonfinite_old_state_gives_a_breakdown_report(unit_mesh, unit_ops):
     assert not report.converged
     assert report.breakdown is not None and report.breakdown.iteration == 1
     assert "non-finite" in report.breakdown.reason
+    assert report.breakdown.field == "u"
     assert new_state.u.breakdown
+
+    # theta = 1 and chi = 0: no assembly reads c, but the right-hand side M c
+    # is non-finite and would reach the linear solve
+    params = Parameters(theta=1.0, chi=0.0, dt=1.0)
+    state = constant_state(unit_mesh, 0.5, 0.9, 0.1)
+    state.c.coeffs[4] = np.nan
+    new_state, report = fixed_point_advance(state, params, unit_ops)
+    assert not report.converged
+    assert report.breakdown is not None and report.breakdown.iteration == 1
+    assert report.breakdown.field == "c" and "non-finite" in report.breakdown.reason
+    assert new_state.c.breakdown and np.isnan(new_state.c.coeffs[4])
 
 
 def test_stop_errors_carry_the_last_committed_state(unit_mesh):
@@ -359,12 +372,12 @@ def test_accelerated_sweep_failure_paths(unit_mesh, unit_ops):
     assert "threshold" in report.breakdown.reason
     assert new_state.u.breakdown and new_state.c.breakdown and new_state.p.breakdown
 
-    # a non-finite iterate entering the assembly is a breakdown, not a crash
+    # a non-finite old state is a breakdown that names its field, not a crash
     bad = constant_state(unit_mesh, 0.5, 0.0, 0.0)
     bad.u.coeffs[0] = np.nan
     params = Parameters(theta=1.0, accel=5)  # no assembly before the sweep
     new_state, report = fixed_point_advance(bad, params, unit_ops)
-    assert report.breakdown is not None and report.breakdown.field == "iterate"
+    assert report.breakdown is not None and report.breakdown.field == "u"
     assert report.iterations == 1 and new_state.u.breakdown
 
 
@@ -441,7 +454,7 @@ def test_mass_diagnostics_match_field_integral(unit_mesh):
 
 def _bump_state(mesh):
     def bump(x):
-        return float(np.exp(-np.dot(x, x)))
+        return np.exp(-(x * x).sum(axis=1))
 
     return SimState(
         0.0,
@@ -491,13 +504,11 @@ def test_c_solve_converges_with_mass_inverse_preconditioner(monkeypatch):
 
     monkeypatch.setattr(linsolve.spla, "splu", no_factorization)
     monkeypatch.setattr(linsolve.spla, "bicgstab", counted)
-    x = linsolve.solve(
-        lhs, rhs, tol_lin=params.tol_lin, method="iterative",
-        precond=ops.mass_inverse,
-    )
+    monkeypatch.setattr(linsolve, "DIRECT_LIMIT", 0)  # the Krylov path
+    x = linsolve.solve(lhs, rhs, tol_lin=params.tol_lin, precond=ops.mass_inverse)
     assert np.linalg.norm(lhs.matvec(x) - rhs) / np.linalg.norm(rhs) <= params.tol_lin
     assert len(iterations) == 1  # converged on the first attempt, no retry
-    jacobi = linsolve.solve(lhs, rhs, tol_lin=params.tol_lin, method="iterative")
+    jacobi = linsolve.solve(lhs, rhs, tol_lin=params.tol_lin)
     assert np.linalg.norm(lhs.matvec(jacobi) - rhs) / np.linalg.norm(rhs) <= params.tol_lin
     assert iterations[0] < iterations[-1]  # fewer iterations than Jacobi's
 

@@ -1,28 +1,30 @@
 """Deterministic sparse assembly of the Q1 forms.
 
-All bilinear forms and load vectors needed by the implicit time steps --
-mass, stiffness, nodal-weighted mass, the haptotactic coupling matrix and
-the product load -- are integrated with tensor-product 2-point Gauss
-quadrature on the reference cell [0,1]^dim.  Every integrand is a product
-of at most three per-axis-linear factors (degree <= 3 per axis), so this
-rule is exact on axis-aligned elements up to rounding.
+The forms the implicit time steps need are the mass matrix M, the stiffness
+matrix K, the nodal-weighted mass W(w), the haptotactic coupling matrix B(c)
+and the product load.  On the structured meshes of :mod:`haptosim.mesh` a Q1
+basis function is a product of 1D hat functions, so each matrix form is a
+sum of Kronecker products of exact 1D integrals, and :class:`AssemblyPlan`
+applies them axis by axis to the nodal coefficients with a few small
+matmuls (sum factorization).  The product load is integrated element by
+element with tensor-product 2-point Gauss quadrature on the reference cell
+[0,1]^dim, exact for its degree (at most 3 per axis) on axis-aligned
+elements.
 
-:class:`AssemblyPlan` holds the quadrature tables and the scatter pattern of
-one mesh.  Each ``assemble_*`` function computes the contributions of all
-elements at once, in the canonical local vertex ordering of
-:mod:`haptosim.mesh`, and sums them into one global CSR matrix or vector.
-For the haptotaxis matrix the row index is the test function, the column
-index the trial function.  On a one-element mesh the global form is the
-element form, which is where :func:`haptosim.verify.element_matrix_crosscheck`
-compares these functions with an independent quadrature.
+Every matrix comes out as one global CSR matrix with the plan's pattern, so
+that matrices of one mesh combine by their value arrays.  For the
+haptotaxis matrix the row index is the test function, the column index the
+trial function.  On a one-element mesh the global form is the element form,
+which is where :func:`haptosim.verify.element_matrix_crosscheck` compares
+these functions with an independent quadrature, in the canonical local
+vertex ordering of :mod:`haptosim.mesh`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linsolve import CsrMatrix
 from .mesh import FeField, StructuredMesh
@@ -55,21 +57,6 @@ def shape_values(dim: int, points) -> np.ndarray:
     return vals
 
 
-def shape_gradients(dim: int, points) -> np.ndarray:
-    """Reference gradients of the Q1 shape functions; (n_points, 2^dim, dim)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    corners = reference_corners(dim)
-    nq, nl = pts.shape[0], corners.shape[0]
-    grads = np.ones((nq, nl, dim))
-    for d in range(dim):
-        xi = pts[:, d][:, None]
-        factor = np.where(corners[None, :, d] == 1.0, xi, 1.0 - xi)
-        sign = np.where(corners[None, :, d] == 1.0, 1.0, -1.0)
-        for g in range(dim):
-            grads[:, :, g] *= sign if g == d else factor
-    return grads
-
-
 def gauss_rule(dim: int, points_per_axis: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """points_per_axis-point Gauss-Legendre rule on the reference cell
     [0,1]^dim, tensorized over dim axes: (points (n, dim), weights (n,))."""
@@ -86,15 +73,13 @@ def gauss_rule(dim: int, points_per_axis: int = 2) -> tuple[np.ndarray, np.ndarr
 
 
 @lru_cache(maxsize=None)
-def _tables(dim: int, points_per_axis: int = 2):
-    """Cached (weights, shape values, reference gradients) for one rule."""
-    points, wq = gauss_rule(dim, points_per_axis)
+def _tables(dim: int):
+    """Cached 2-point Gauss weights and shape values on the reference cell."""
+    points, wq = gauss_rule(dim, 2)
     phi = shape_values(dim, points)
-    dphi = shape_gradients(dim, points)
     wq.flags.writeable = False
     phi.flags.writeable = False
-    dphi.flags.writeable = False
-    return wq, phi, dphi
+    return wq, phi
 
 
 def _coefficients(values, mesh, name) -> np.ndarray:
@@ -113,72 +98,129 @@ def _coefficients(values, mesh, name) -> np.ndarray:
     return v
 
 
-class AssemblyPlan:
-    """Precomputed scatter pattern and quadrature tables for one mesh.
+def _axis_nodes(mesh: StructuredMesh) -> list[np.ndarray]:
+    """The node coordinates along each mesh axis, first axis first: the
+    coordinates the elements were sized from."""
+    coords = []
+    stride = 1
+    for d, nc in enumerate(mesh.cells_per_axis):
+        coords.append(mesh.node_coords[np.arange(nc + 1) * stride, d])
+        stride *= nc + 1
+    return coords
 
-    The global sparsity pattern couples exactly the node pairs that share an
-    element.  Element contributions are accumulated with ``np.bincount`` in
-    element-index order, so repeated assemblies are bitwise identical.
+
+# The 1D integrals around node a, as multiples of the length and the inverse
+# length of the element left of a (hl, il) and right of it (hr, ir); the hat
+# functions are linear on each.  Rows: T, then G, for the neighbour
+# b = a - 1, a, a + 1, then the mass and stiffness bands for the same b.
+# _ON_NODE holds the coefficient node k = a (columns hl, il, hr, ir);
+# _TO_RIGHT holds k = a + 1 (columns hr, ir) and _TO_LEFT k = a - 1
+# (columns hl, il), which only T and G reach.
+_ON_NODE = np.array([
+    [1 / 12, 0, 0, 0], [1 / 4, 0, 1 / 4, 0], [0, 0, 1 / 12, 0],
+    [0, 1 / 2, 0, 0], [0, 1 / 2, 0, 1 / 2], [0, 0, 0, 1 / 2],
+    [1 / 6, 0, 0, 0], [1 / 3, 0, 1 / 3, 0], [0, 0, 1 / 6, 0],
+    [0, -1, 0, 0], [0, 1, 0, 1], [0, 0, 0, -1],
+])
+_TO_RIGHT = np.array([[0, 0], [1 / 12, 0], [1 / 12, 0], [0, 0], [0, -1 / 2], [0, -1 / 2]])
+_TO_LEFT = np.array([[1 / 12, 0], [1 / 12, 0], [0, 0], [0, -1 / 2], [0, -1 / 2], [0, 0]])
+
+
+def _axis_integrals(x: np.ndarray):
+    """Exact integrals of the 1D hat functions on the nodes ``x`` of one axis.
+
+    Row ``(o + 1) n + a`` of a stack belongs to node a and its neighbour
+    b = a + o, o in {-1, 0, 1}; rows whose neighbour is off the axis are zero.
+    Returns the (6n, n) stack [T; G] with columns k, where
+    T = int phi_a phi_b phi_k and G = int phi'_a phi_b phi'_k (the derivative
+    on the test function a), and the (3, n) bands int phi_a phi_b and
+    int phi'_a phi'_b of the 1D mass and stiffness matrices.
+    """
+    n = x.size
+    h = x[1:] - x[:-1]
+    lengths = np.zeros((4, n))  # hl, il, hr, ir; 0 off the axis
+    lengths[0, 1:] = lengths[2, :-1] = h
+    lengths[1, 1:] = lengths[3, :-1] = 1.0 / h
+    on_node = _ON_NODE @ lengths
+    # the blocks of [T; G] flattened: entry (a, k) sits at a n + k, so the
+    # diagonals k = a, a + 1 and a - 1 are strided slices
+    tg = np.zeros((6, n * n))
+    tg[:, ::n + 1] = on_node[:6]
+    tg[:, 1::n + 1] = _TO_RIGHT @ lengths[2:, :-1]
+    tg[:, n::n + 1] = _TO_LEFT @ lengths[:2, 1:]
+    return tg.reshape(6 * n, n), on_node[6:9], on_node[9:]
+
+
+class AssemblyPlan:
+    """Per-axis integral tables and the CSR pattern of one mesh.
+
+    A Q1 basis function is a product of 1D hat functions, one per axis, and
+    so is every integrand of the matrix forms; each form is a sum of
+    Kronecker products of 1D integrals, applied axis by axis to the nodal
+    coefficients (sum factorization; Orszag, J. Comput. Phys. 37, 1980).  A
+    node vector reshapes to the array ``grid`` = (n_z, n_y, n_x) in 3D and
+    (n_y, n_x) in 2D, mesh axis 0 last.  Entry (a, a + o) of a form lands at
+    [o_z + 1, a_z, o_y + 1, a_y, o_x + 1, a_x] of a (3, n_z, 3, n_y, 3, n_x)
+    array, and ``index`` gathers the stored entries from it in CSR order.
+    The pattern couples the nodes that share an element: a with a + o for
+    every o in {-1, 0, 1}^dim that stays on the mesh.
+
+    The product load is integrated element by element with the 2-point
+    Gauss rule, exact for its degree.
     """
 
-    def __init__(self, mesh: StructuredMesh, points_per_axis: int = 2):
+    def __init__(self, mesh: StructuredMesh):
         self.mesh = mesh
-        self.wq, self.phi, self.dphi = _tables(mesh.dim, points_per_axis)
-        sizes = mesh.element_sizes()
-        self.volumes = np.prod(sizes, axis=1)
-        self.inv_sizes = 1.0 / sizes
-        self.inv_sizes_sq = self.inv_sizes**2
-
-        # contraction tables: all assemblies below reduce to single matmuls
-        nq, nl = self.phi.shape
         dim = mesh.dim
-        self.nl = nl
-        # mass: vol_e * sum_q wq phi_qi phi_qj
-        self.pairs_mass = np.einsum("q,qi,qj->qij", self.wq, self.phi, self.phi)
-        self.ref_mass = self.pairs_mass.sum(axis=0)
-        # stiffness: vol_e * sum_d inv_sq_ed * sum_q wq dphi_qid dphi_qjd
-        self.ref_stiff_per_axis = np.einsum(
-            "q,qid,qjd->dij", self.wq, self.dphi, self.dphi
-        )
-        # haptotaxis: row j = test; sum over (q, d) of
-        #   [vol_e inv_ed gradc_eqd] * [wq dphi_qjd phi_qi]
-        self.pairs_hapto = np.einsum(
-            "q,qjd,qi->qdji", self.wq, self.dphi, self.phi
-        ).reshape(nq * dim, nl * nl)
-        # gradient evaluation: gradc_eqd = sum_l c_el dphi_qld inv_ed
-        self.grad_table = self.dphi.transpose(1, 0, 2).reshape(nl, nq * dim)
-        # load: sum_q (wq a_q b_q vol_e) phi_qj
-        self.wphi = self.wq[:, None] * self.phi
+        nodes = _axis_nodes(mesh)[::-1]
+        self.grid = tuple(x.size for x in nodes)
+        stacks, self.mass_bands, self.stiff_bands = zip(*map(_axis_integrals, nodes))
+        # per array axis, z (3D) or y first: the halves of [T; G]
+        self.t = [tg[:3 * n] for tg, n in zip(stacks, self.grid)]
+        self.g = [tg[3 * n:] for tg, n in zip(stacks, self.grid)]
+        # mesh axis 0 is contracted from the right, by contiguous transposes
+        self.t_first = np.ascontiguousarray(self.t[-1].T)
+        self.tg_first = np.ascontiguousarray(stacks[-1].T)
+        # [T | G] of the leading array axis, for the last contraction of B(c)
+        self.tg_lead = np.hstack([self.t[0], self.g[0]])
 
-        elems = mesh.elements
-        nl = mesh.nodes_per_element
-        rows = np.repeat(elems, nl, axis=1).ravel()
-        cols = np.tile(elems, (1, nl)).ravel()
-        order = np.lexsort((cols, rows))
-        rs, cs = rows[order], cols[order]
-        new_pair = np.empty(len(rs), dtype=bool)
-        new_pair[0] = True
-        new_pair[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
-        pair_id = np.cumsum(new_pair) - 1
-        self.slot = np.empty(len(rows), dtype=np.int64)
-        self.slot[order] = pair_id
-        self.nnz = int(pair_id[-1]) + 1
-        indptr = np.searchsorted(rs[new_pair], np.arange(mesh.n_nodes + 1))
-        # keep the index arrays in the dtype scipy picks for this pattern, so
-        # that the scipy form of every assembled matrix shares them
-        pattern = sp.csr_matrix(
-            (np.zeros(self.nnz), cs[new_pair], indptr),
-            shape=(mesh.n_nodes, mesh.n_nodes),
-        )
-        self.indices, self.indptr = pattern.indices, pattern.indptr
+        # gather index and CSR pattern, built one array axis at a time
+        column = position = 0
+        valid = True
+        column_stride = position_stride = 1
+        for m in reversed(range(dim)):
+            n = self.grid[m]
+            a, o = np.arange(n)[:, None], np.arange(-1, 2)
+            b = a + o  # (n, 3): the neighbours of each node
+            axes = [1] * (2 * dim)
+            axes[m], axes[dim + m] = n, 3  # broadcast to (a_z.., a_x, o_z.., o_x)
+            column = column + (b * column_stride).reshape(axes)
+            position = position + (((o + 1) * n + a) * position_stride).reshape(axes)
+            valid = valid & ((b >= 0) & (b < n)).reshape(axes)
+            column_stride *= n
+            position_stride *= 3 * n
+        valid = valid.reshape(mesh.n_nodes, -1)
+        self.index = position.reshape(mesh.n_nodes, -1)[valid]
+        self.index.flags.writeable = False
+        # the index dtype scipy picks for this pattern, so that the scipy form
+        # of every assembled matrix shares the arrays
+        dtype = np.int32 if max(self.index.size, mesh.n_nodes) < 2**31 else np.int64
+        self.indices = column.reshape(mesh.n_nodes, -1)[valid].astype(dtype)
+        self.indptr = np.zeros(mesh.n_nodes + 1, dtype=dtype)
+        np.cumsum(valid.sum(axis=1), out=self.indptr[1:])
         self.indices.flags.writeable = False
         self.indptr.flags.writeable = False
 
-    def scatter_matrix(self, element_entries: np.ndarray) -> CsrMatrix:
-        data = np.bincount(
-            self.slot, weights=element_entries.ravel(), minlength=self.nnz
-        )
-        return CsrMatrix(self.mesh.n_nodes, self.indptr, self.indices, data)
+        # product load: 2-point Gauss rule per element
+        wq, self.phi = _tables(dim)
+        self.wphi = wq[:, None] * self.phi
+        self.volumes = mesh.element_volumes()
+
+    def gather(self, layout: np.ndarray) -> CsrMatrix:
+        """The CSR matrix whose entries sit in ``layout``, the
+        (3, n_z, 3, n_y, 3, n_x) array described above."""
+        return CsrMatrix(self.mesh.n_nodes, self.indptr, self.indices,
+                         layout.ravel()[self.index])
 
     def scatter_vector(self, element_entries: np.ndarray) -> np.ndarray:
         return np.bincount(
@@ -188,45 +230,60 @@ class AssemblyPlan:
         )
 
 
+def _weighted_mass(plan: AssemblyPlan, wn: np.ndarray) -> CsrMatrix:
+    """W(w) = T_z (x) T_y (x) T_x contracted with the nodal weights, one axis
+    per matmul, in the layout of :func:`mass_inverse`."""
+    x = plan.t[-2] @ (wn.reshape(plan.grid) @ plan.t_first)
+    if plan.mesh.dim == 3:
+        x = plan.t[0] @ x.reshape(plan.grid[0], -1)
+    return plan.gather(x)
+
+
 def assemble_mass(mesh: StructuredMesh, plan: AssemblyPlan | None = None) -> CsrMatrix:
     plan = plan or AssemblyPlan(mesh)
-    elem = plan.volumes[:, None, None] * plan.ref_mass[None, :, :]
-    return plan.scatter_matrix(elem)
+    # Q1 interpolates the constant 1 exactly, so M = W(1)
+    return _weighted_mass(plan, np.ones(mesh.n_nodes))
 
 
 def assemble_stiffness(mesh: StructuredMesh, plan: AssemblyPlan | None = None) -> CsrMatrix:
+    """K = sum over axes d of K_d (x) the 1D mass matrices of the other axes."""
     plan = plan or AssemblyPlan(mesh)
-    nl = plan.nl
-    factors = plan.volumes[:, None] * plan.inv_sizes_sq  # (ne, dim)
-    elem = (factors @ plan.ref_stiff_per_axis.reshape(mesh.dim, nl * nl)).reshape(
-        -1, nl, nl
-    )
-    return plan.scatter_matrix(elem)
+    layout = 0.0
+    for d in range(mesh.dim):
+        bands = [s if m == d else b
+                 for m, (b, s) in enumerate(zip(plan.mass_bands, plan.stiff_bands))]
+        layout = layout + reduce(np.multiply.outer, bands)
+    return plan.gather(layout)
 
 
 def assemble_weighted_mass(mesh, w, plan: AssemblyPlan | None = None) -> CsrMatrix:
     """Global matrix of  int w_h phi_i phi_j."""
     plan = plan or AssemblyPlan(mesh)
-    wn = _coefficients(w, mesh, "weight field")
-    nq, nl = plan.phi.shape
-    w_at = (wn[mesh.elements] @ plan.phi.T) * plan.volumes[:, None]  # (ne, nq)
-    elem = (w_at @ plan.pairs_mass.reshape(nq, nl * nl)).reshape(-1, nl, nl)
-    return plan.scatter_matrix(elem)
+    return _weighted_mass(plan, _coefficients(w, mesh, "weight field"))
 
 
 def assemble_haptotaxis(mesh, c, plan: AssemblyPlan | None = None) -> CsrMatrix:
-    """Global matrix of  int phi_i (grad c_h . grad phi_j);  row = test index."""
+    """Global matrix of  int phi_i (grad c_h . grad phi_j);  row = test index.
+
+    B(c) = G_x T_y T_z + T_x G_y T_z + T_x T_y G_z in 3D (G_x T_y + T_x G_y in
+    2D): the first and last axes are contracted once against T and G
+    stacked, in five matmuls in 3D.
+    """
     plan = plan or AssemblyPlan(mesh)
     cn = _coefficients(c, mesh, "matrix-density field")
-    nq, nl = plan.phi.shape
-    dim = mesh.dim
-    # physical gradient of c at the quadrature points, (ne, nq, dim)
-    grad_c = (cn[mesh.elements] @ plan.grad_table).reshape(-1, nq, dim)
-    grad_c *= plan.inv_sizes[:, None, :]
-    # second inverse-size factor belongs to the test gradient dphi_qjd
-    weights = grad_c * (plan.volumes[:, None] * plan.inv_sizes)[:, None, :]
-    elem = (weights.reshape(-1, nq * dim) @ plan.pairs_hapto).reshape(-1, nl, nl)
-    return plan.scatter_matrix(elem)
+    x = cn.reshape(plan.grid) @ plan.tg_first  # [T_x c | G_x c]
+    n_x3 = 3 * plan.grid[-1]
+    tx, gx = x[..., :n_x3], x[..., n_x3:]
+    if mesh.dim == 2:
+        return plan.gather(plan.t[0] @ gx + plan.g[0] @ tx)
+    n_z = plan.grid[0]
+    # [G_x T_y c + T_x G_y c ; T_x T_y c], contracted with [T_z | G_z] at once
+    stack = np.empty((2, n_z, 3 * plan.grid[1], n_x3))
+    np.matmul(plan.t[1], gx, out=stack[0])
+    np.matmul(plan.g[1], tx, out=stack[1])
+    stack[0] += stack[1]
+    np.matmul(plan.t[1], tx, out=stack[1])
+    return plan.gather(plan.tg_lead @ stack.reshape(2 * n_z, -1))
 
 
 def assemble_product_load(mesh, a, b, plan: AssemblyPlan | None = None) -> np.ndarray:
@@ -249,19 +306,12 @@ def mass_inverse(mesh: StructuredMesh):
     Numer. Math. 6, 1964).  Applying it takes one matmul per axis on the
     reshaped vector: O(N n) work for N nodes and n nodes per axis.
     """
-    counts = [nc + 1 for nc in mesh.cells_per_axis]
     inverses = []
-    stride = 1
-    for d, n in enumerate(counts):
-        # the axis coordinates the elements were sized from
-        h = np.diff(mesh.node_coords[np.arange(n) * stride, d])
-        stride *= n
-        diag = np.zeros(n)
-        diag[:-1] += h / 3.0
-        diag[1:] += h / 3.0
-        m1 = np.diag(diag) + np.diag(h / 6.0, 1) + np.diag(h / 6.0, -1)
+    for x in _axis_nodes(mesh):
+        band = _axis_integrals(x)[1]
+        m1 = np.diag(band[1]) + np.diag(band[2, :-1], 1) + np.diag(band[0, 1:], -1)
         inverses.append(np.linalg.inv(m1))
-    shape = tuple(reversed(counts))  # row-major, so mesh axis d is array axis dim-1-d
+    shape = tuple(m.shape[0] for m in reversed(inverses))  # mesh axis d is array axis dim-1-d
     first_t = np.ascontiguousarray(inverses[0].T)
 
     def apply(b) -> np.ndarray:
@@ -273,4 +323,3 @@ def mass_inverse(mesh: StructuredMesh):
         return x.reshape(-1)
 
     return apply
-

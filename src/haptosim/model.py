@@ -208,14 +208,12 @@ class RescaledProblem:
 
     Positions map as  x_new = x / sqrt(chi),  times as  t_new = t / epsilon,
     and the matrix/protease amplitudes carry a factor epsilon.  The original
-    (chi, epsilon) pair is retained; epsilon gives the time and amplitude
-    factors.
+    epsilon is retained: it gives the time and amplitude factors.
     """
 
     params: Parameters
     extents: tuple[tuple[float, float], ...]
     initial: InitialData
-    source_chi: float
     source_epsilon: float
 
     @property
@@ -259,4 +257,4 @@ def rescale_to_unit_chi_eps(params: Parameters, extents, initial: InitialData):
         lambda x: eps * c0(root * np.asarray(x, dtype=float)),
         lambda x: eps * p0(root * np.asarray(x, dtype=float)),
     )
-    return RescaledProblem(new_params, new_extents, new_initial, chi, eps)
+    return RescaledProblem(new_params, new_extents, new_initial, eps)

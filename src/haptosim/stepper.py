@@ -165,22 +165,27 @@ class Operators:
 
 def _u_system_matrix(ops, params, u_coeffs, c_coeffs, dt_factor) -> CsrMatrix:
     """M +- dtf * ((1/alpha) K - chi B(c) - mu (M - W(u))) with dtf = theta*dt
-    on the implicit side and -(1-theta)*dt on the explicit side."""
-    terms = [(1.0, ops.mass), (dt_factor / params.alpha, ops.stiffness)]
+    on the implicit side and -(1-theta)*dt on the explicit side.
+
+    The mass terms fold into one weighted mass, M - dtf mu (M - W(u)) =
+    W(1 + dtf mu (u - 1)): Q1 interpolates constants exactly and W is linear
+    in its weight.
+    """
+    if params.mu != 0.0:
+        first = ops.weighted_mass(1.0 + dt_factor * params.mu * (u_coeffs - 1.0))
+    else:
+        first = ops.mass
+    terms = [(1.0, first), (dt_factor / params.alpha, ops.stiffness)]
     if params.chi != 0.0:
         terms.append((-dt_factor * params.chi, ops.haptotaxis(c_coeffs)))
-    if params.mu != 0.0:
-        terms.append((-dt_factor * params.mu, ops.mass))
-        terms.append((dt_factor * params.mu, ops.weighted_mass(u_coeffs)))
     return linsolve.combine(terms)
 
 
 def _c_system_matrix(ops, params, p_coeffs, dt_factor) -> CsrMatrix:
+    """M + dtf W(p) = W(1 + dtf p), as in :func:`_u_system_matrix`."""
     if dt_factor == 0.0:
         return ops.mass
-    return linsolve.combine(
-        [(1.0, ops.mass), (dt_factor, ops.weighted_mass(p_coeffs))]
-    )
+    return ops.weighted_mass(1.0 + dt_factor * p_coeffs)
 
 
 def _u_rhs(ops, params, un, cn) -> np.ndarray:

@@ -324,3 +324,36 @@ def test_mass_inverse_inverts_assembled_mass(dim, extents, cells, refinements):
         x = apply(b)
         assert x.shape == b.shape
         assert np.linalg.norm(m @ x - b) / np.linalg.norm(b) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "dim, extents, cells",
+    [
+        (2, ((0.0, 2.0), (-1.0, 0.5)), (6, 4)),
+        (3, ((0.0, 1.0), (-1.0, 1.5), (2.0, 6.0)), (3, 4, 5)),
+    ],
+    ids=["2d-6x4", "3d-3x4x5"],
+)
+def test_per_axis_forms_match_brute_force_scatter(dim, extents, cells):
+    # unequal extents and cell counts per axis, so that a mix-up of axes, of
+    # offsets or of the gather into CSR order shows; one element cannot
+    mesh = build_structured_mesh(dim, extents, cells, 0)
+    plan = AssemblyPlan(mesh)
+    rng = np.random.default_rng(13)
+    w = rng.uniform(-1, 1, mesh.n_nodes)
+    c = rng.uniform(-1, 1, mesh.n_nodes)
+    sizes = mesh.element_sizes()
+    for name, form, coefficients in (
+        ("mass", assemble_mass(mesh, plan), ()),
+        ("stiffness", assemble_stiffness(mesh, plan), ()),
+        ("weighted_mass", assemble_weighted_mass(mesh, w, plan), (w,)),
+        ("haptotaxis", assemble_haptotaxis(mesh, c, plan), (c,)),
+    ):
+        ref = _brute_force_scatter(mesh, [
+            oracle_form(name, sizes[e], *(v[mesh.elements[e]] for v in coefficients))
+            for e in range(mesh.n_elements)
+        ])
+        dense = form.to_scipy().toarray()
+        assert np.max(np.abs(dense - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+        if name == "weighted_mass":
+            assert np.max(np.abs(dense - dense.T)) <= 1e-15 * np.max(np.abs(dense))

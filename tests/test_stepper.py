@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from haptosim import iocfg, linsolve, stepper
+from haptosim import fem, iocfg, linsolve, stepper
 from haptosim.mesh import build_structured_mesh, interpolate
-from haptosim.model import Parameters, SimState
+from haptosim.model import Parameters, SimState, interpolate_initial_state
 from haptosim.stepper import (
     NonconvergenceError,
     Operators,
@@ -533,3 +533,49 @@ def test_mass_inverse_solves_reproduce_the_factored_path(monkeypatch):
         a = getattr(new.state, name).coeffs
         b = getattr(old.state, name).coeffs
         assert np.max(np.abs(a - b)) <= config.params.tol_fp
+
+
+@pytest.mark.parametrize("chi, mu, theta", [(0.0, 0.5, 0.5), (1.0, 1.0, 0.5), (0.01, 1e-10, 1.0)])
+def test_form_calls_per_sweep(monkeypatch, chi, mu, theta):
+    """The assembly calls per sweep that the benchmark's traced run counts.
+
+    perfbench/tracing.py wraps these module attributes, and perfbench/checks.py
+    expects per sweep two weighted masses if mu != 0 (else one), a haptotaxis
+    matrix if chi != 0 and a product load, and the same once more per step
+    for the explicit side when theta < 1; building the operators makes none.
+    """
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        calls[name] = 0
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("AssemblyPlan", "assemble_weighted_mass", "assemble_haptotaxis",
+                 "assemble_product_load"):
+        count(fem, name)
+    count(linsolve, "combine")
+    config = iocfg.parse_config(
+        f"refinements = 2\nchi = {chi}\nmu = {mu}\ntheta = {theta}\nt_final = 3\n"
+    )
+    mesh = config.build_mesh()
+    ops = Operators(mesh)
+    assert calls == {**dict.fromkeys(calls, 0), "AssemblyPlan": 1}
+
+    state0 = interpolate_initial_state(config.initial_data(), mesh)
+    result = simulate(state0, config.params, ops=ops)
+    steps = len(result.diagnostics) - 1
+    n = sum(r.fp_iters for r in result.diagnostics) + (steps if theta < 1.0 else 0)
+    assert steps == 3
+    assert calls == {
+        "AssemblyPlan": 1,
+        "assemble_weighted_mass": 2 * n if mu != 0.0 else n,
+        "assemble_haptotaxis": n if chi != 0.0 else 0,
+        "assemble_product_load": n,
+        "combine": n,  # the u system only: W(1 + dtf p) is the whole c system
+    }

@@ -4,12 +4,13 @@ The forms the implicit time steps need are the mass matrix M, the stiffness
 matrix K, the nodal-weighted mass W(w), the haptotactic coupling matrix B(c)
 and the product load.  On the structured meshes of :mod:`haptosim.mesh` a Q1
 basis function is a product of 1D hat functions, so each matrix form is a
-sum of Kronecker products of exact 1D integrals, and :class:`AssemblyPlan`
-applies them axis by axis to the nodal coefficients with a few small
-matmuls (sum factorization).  The product load is integrated element by
-element with tensor-product 2-point Gauss quadrature on the reference cell
-[0,1]^dim, exact for its degree (at most 3 per axis) on axis-aligned
-elements.
+sum of Kronecker products of exact 1D integrals.  M and K are built from
+the 1D mass and stiffness bands; :class:`AssemblyPlan` applies W and B to
+the nodal coefficients axis by axis, one sparse product per axis (sum
+factorization), in work linear in the nodes.  The product load is
+integrated element by element with tensor-product 2-point Gauss quadrature
+on the reference cell [0,1]^dim, exact for its degree (at most 3 per axis)
+on axis-aligned elements.
 
 Every matrix comes out as one global CSR matrix with the plan's pattern, so
 that matrices of one mesh combine by their value arrays.  For the
@@ -22,9 +23,10 @@ vertex ordering of :mod:`haptosim.mesh`.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
+import scipy.sparse as sp
 
 from .linsolve import CsrMatrix
 from .mesh import FeField, StructuredMesh
@@ -109,46 +111,74 @@ def _axis_nodes(mesh: StructuredMesh) -> list[np.ndarray]:
     return coords
 
 
-# The 1D integrals around node a, as multiples of the length and the inverse
-# length of the element left of a (hl, il) and right of it (hr, ir); the hat
-# functions are linear on each.  Rows: T, then G, for the neighbour
-# b = a - 1, a, a + 1, then the mass and stiffness bands for the same b.
-# _ON_NODE holds the coefficient node k = a (columns hl, il, hr, ir);
-# _TO_RIGHT holds k = a + 1 (columns hr, ir) and _TO_LEFT k = a - 1
-# (columns hl, il), which only T and G reach.
-_ON_NODE = np.array([
+# The exact 1D integrals around node a, as multiples of the length and the
+# inverse length of the element left of a (hl, il) and right of it (hr, ir);
+# the hat functions are linear on each.  Rows: T[o, q] and G[o, q] for the
+# neighbour b = a + o and the coefficient node k = a + q, o and q in
+# {-1, 0, 1} (row-major), then the mass and stiffness bands for b = a + o.
+_INTEGRALS = np.array([
+    # T = int phi_a phi_b phi_k
+    [1 / 12, 0, 0, 0], [1 / 12, 0, 0, 0], [0, 0, 0, 0],
     [1 / 12, 0, 0, 0], [1 / 4, 0, 1 / 4, 0], [0, 0, 1 / 12, 0],
-    [0, 1 / 2, 0, 0], [0, 1 / 2, 0, 1 / 2], [0, 0, 0, 1 / 2],
+    [0, 0, 0, 0], [0, 0, 1 / 12, 0], [0, 0, 1 / 12, 0],
+    # G = int phi'_a phi_b phi'_k
+    [0, -1 / 2, 0, 0], [0, 1 / 2, 0, 0], [0, 0, 0, 0],
+    [0, -1 / 2, 0, 0], [0, 1 / 2, 0, 1 / 2], [0, 0, 0, -1 / 2],
+    [0, 0, 0, 0], [0, 0, 0, 1 / 2], [0, 0, 0, -1 / 2],
+    # int phi_a phi_b and int phi'_a phi'_b
     [1 / 6, 0, 0, 0], [1 / 3, 0, 1 / 3, 0], [0, 0, 1 / 6, 0],
     [0, -1, 0, 0], [0, 1, 0, 1], [0, 0, 0, -1],
 ])
-_TO_RIGHT = np.array([[0, 0], [1 / 12, 0], [1 / 12, 0], [0, 0], [0, -1 / 2], [0, -1 / 2]])
-_TO_LEFT = np.array([[1 / 12, 0], [1 / 12, 0], [0, 0], [0, -1 / 2], [0, -1 / 2], [0, 0]])
 
 
 def _axis_integrals(x: np.ndarray):
     """Exact integrals of the 1D hat functions on the nodes ``x`` of one axis.
 
-    Row ``(o + 1) n + a`` of a stack belongs to node a and its neighbour
-    b = a + o, o in {-1, 0, 1}; rows whose neighbour is off the axis are zero.
-    Returns the (6n, n) stack [T; G] with columns k, where
-    T = int phi_a phi_b phi_k and G = int phi'_a phi_b phi'_k (the derivative
-    on the test function a), and the (3, n) bands int phi_a phi_b and
-    int phi'_a phi'_b of the 1D mass and stiffness matrices.
+    Returns the (2, 3, 3, n) diagonals [T, G][o + 1, q + 1, a] of
+    T = int phi_a phi_{a+o} phi_{a+q} and G = int phi'_a phi_{a+o} phi'_{a+q}
+    (the derivative on the test function a), and the (3, n) bands [o + 1, a]
+    of the 1D mass and stiffness matrices.  An entry is nonzero exactly when
+    its nodes share an element: the ones that reach off the axis, and T and G
+    with |o - q| = 2, are zero.
     """
     n = x.size
     h = x[1:] - x[:-1]
     lengths = np.zeros((4, n))  # hl, il, hr, ir; 0 off the axis
     lengths[0, 1:] = lengths[2, :-1] = h
     lengths[1, 1:] = lengths[3, :-1] = 1.0 / h
-    on_node = _ON_NODE @ lengths
-    # the blocks of [T; G] flattened: entry (a, k) sits at a n + k, so the
-    # diagonals k = a, a + 1 and a - 1 are strided slices
-    tg = np.zeros((6, n * n))
-    tg[:, ::n + 1] = on_node[:6]
-    tg[:, 1::n + 1] = _TO_RIGHT @ lengths[2:, :-1]
-    tg[:, n::n + 1] = _TO_LEFT @ lengths[:2, 1:]
-    return tg.reshape(6 * n, n), on_node[6:9], on_node[9:]
+    values = _INTEGRALS @ lengths
+    return values[:18].reshape(2, 3, 3, n), values[18:21], values[21:]
+
+
+def _axis_step(blocks, lines: int) -> sp.csr_matrix:
+    """The sparse matrix that contracts one array axis of a stack of arrays.
+
+    Each array is viewed as ``lines`` consecutive lines of n nodes along the
+    axis, input row (j, p, a) holding node a of line p of array j.
+    ``blocks[i][j]`` is the (3, 3, n) table of :func:`_axis_integrals` that
+    takes array j to array i: output row (i, p, o + 1, a) gets
+    tab[o + 1, q + 1, a] times input row (j, p, a + q).  The zero entries of
+    the tables, among them all that reach off the axis, are not stored.
+    """
+    tabs = np.array(blocks)  # (i, j, o, q, a)
+    n_out, n_in, _, _, n = tabs.shape
+    shape = (n_out, lines, 3, n, n_in, 3)  # one row per (i, p, o, a)
+    vals = np.broadcast_to(tabs.transpose(0, 2, 4, 1, 3)[:, None], shape)
+    p = np.arange(lines)[:, None, None, None, None]
+    j = np.arange(n_in)[:, None]
+    cols = (j * lines + p) * n + np.arange(n)[:, None, None] + np.arange(-1, 2)
+    keep = vals != 0
+    cols = np.broadcast_to(cols, shape)[keep]
+    indptr = np.zeros(keep[..., 0, 0].size + 1, dtype=cols.dtype)
+    np.cumsum(keep.sum(axis=(-2, -1)).ravel(), out=indptr[1:])
+    return sp.csr_matrix((vals[keep], cols, indptr), shape=(indptr.size - 1, n_in * lines * n))
+
+
+def _contract(steps, v: np.ndarray) -> np.ndarray:
+    """Apply the axis steps of a form to the nodal coefficients ``v``."""
+    for step in steps:
+        v = step @ v.reshape(step.shape[1], -1)
+    return v
 
 
 class AssemblyPlan:
@@ -165,6 +195,11 @@ class AssemblyPlan:
     The pattern couples the nodes that share an element: a with a + o for
     every o in {-1, 0, 1}^dim that stays on the mesh.
 
+    Each axis step of W(w) and B(c) is a sparse matrix with 7 entries per
+    node and 1D table (:func:`_axis_step`), so a form takes work and memory
+    linear in the number of nodes.  The steps are built on a
+    form's first use; the mass and stiffness matrices need none.
+
     The product load is integrated element by element with the 2-point
     Gauss rule, exact for its degree.
     """
@@ -174,15 +209,8 @@ class AssemblyPlan:
         dim = mesh.dim
         nodes = _axis_nodes(mesh)[::-1]
         self.grid = tuple(x.size for x in nodes)
-        stacks, self.mass_bands, self.stiff_bands = zip(*map(_axis_integrals, nodes))
-        # per array axis, z (3D) or y first: the halves of [T; G]
-        self.t = [tg[:3 * n] for tg, n in zip(stacks, self.grid)]
-        self.g = [tg[3 * n:] for tg, n in zip(stacks, self.grid)]
-        # mesh axis 0 is contracted from the right, by contiguous transposes
-        self.t_first = np.ascontiguousarray(self.t[-1].T)
-        self.tg_first = np.ascontiguousarray(stacks[-1].T)
-        # [T | G] of the leading array axis, for the last contraction of B(c)
-        self.tg_lead = np.hstack([self.t[0], self.g[0]])
+        # per array axis, z (3D) or y first
+        self.tables, self.mass_bands, self.stiff_bands = zip(*map(_axis_integrals, nodes))
 
         # gather index and CSR pattern, built one array axis at a time
         column = position = 0
@@ -216,6 +244,35 @@ class AssemblyPlan:
         self.wphi = wq[:, None] * self.phi
         self.volumes = mesh.element_volumes()
 
+    def _axes(self):
+        """(T, G, lines) per array axis, in the order the steps contract
+        them: mesh axis 0 (the last array axis) first."""
+        for m in reversed(range(self.mesh.dim)):
+            t, g = self.tables[m]
+            yield t, g, int(np.prod(self.grid[:m]))
+
+    @cached_property
+    def weighted_mass_steps(self) -> list[sp.csr_matrix]:
+        """W(w) = T_z (x) T_y (x) T_x, one axis step each."""
+        return [_axis_step([[t]], lines) for t, _, lines in self._axes()]
+
+    @cached_property
+    def haptotaxis_steps(self) -> list[sp.csr_matrix]:
+        """B(c) = G_x T_y T_z + T_x G_y T_z + T_x T_y G_z (G_x T_y + T_x G_y
+        in 2D).  Each step maps the pair (t, s), t with T on every axis so
+        far and s the sum of the terms with G on one of them, to
+        (T t, G t + T s); the first starts from c, the last keeps s."""
+        steps = []
+        for m, (t, g, lines) in enumerate(self._axes()):
+            if m == 0:
+                blocks = [[t], [g]]
+            elif m == self.mesh.dim - 1:
+                blocks = [[g, t]]
+            else:
+                blocks = [[t, np.zeros_like(t)], [g, t]]
+            steps.append(_axis_step(blocks, lines))
+        return steps
+
     def gather(self, layout: np.ndarray) -> CsrMatrix:
         """The CSR matrix whose entries sit in ``layout``, the
         (3, n_z, 3, n_y, 3, n_x) array described above."""
@@ -230,19 +287,10 @@ class AssemblyPlan:
         )
 
 
-def _weighted_mass(plan: AssemblyPlan, wn: np.ndarray) -> CsrMatrix:
-    """W(w) = T_z (x) T_y (x) T_x contracted with the nodal weights, one axis
-    per matmul, in the layout of :func:`mass_inverse`."""
-    x = plan.t[-2] @ (wn.reshape(plan.grid) @ plan.t_first)
-    if plan.mesh.dim == 3:
-        x = plan.t[0] @ x.reshape(plan.grid[0], -1)
-    return plan.gather(x)
-
-
 def assemble_mass(mesh: StructuredMesh, plan: AssemblyPlan | None = None) -> CsrMatrix:
+    """M = the Kronecker product of the 1D mass matrices."""
     plan = plan or AssemblyPlan(mesh)
-    # Q1 interpolates the constant 1 exactly, so M = W(1)
-    return _weighted_mass(plan, np.ones(mesh.n_nodes))
+    return plan.gather(reduce(np.multiply.outer, plan.mass_bands))
 
 
 def assemble_stiffness(mesh: StructuredMesh, plan: AssemblyPlan | None = None) -> CsrMatrix:
@@ -259,31 +307,15 @@ def assemble_stiffness(mesh: StructuredMesh, plan: AssemblyPlan | None = None) -
 def assemble_weighted_mass(mesh, w, plan: AssemblyPlan | None = None) -> CsrMatrix:
     """Global matrix of  int w_h phi_i phi_j."""
     plan = plan or AssemblyPlan(mesh)
-    return _weighted_mass(plan, _coefficients(w, mesh, "weight field"))
+    wn = _coefficients(w, mesh, "weight field")
+    return plan.gather(_contract(plan.weighted_mass_steps, wn))
 
 
 def assemble_haptotaxis(mesh, c, plan: AssemblyPlan | None = None) -> CsrMatrix:
-    """Global matrix of  int phi_i (grad c_h . grad phi_j);  row = test index.
-
-    B(c) = G_x T_y T_z + T_x G_y T_z + T_x T_y G_z in 3D (G_x T_y + T_x G_y in
-    2D): the first and last axes are contracted once against T and G
-    stacked, in five matmuls in 3D.
-    """
+    """Global matrix of  int phi_i (grad c_h . grad phi_j);  row = test index."""
     plan = plan or AssemblyPlan(mesh)
     cn = _coefficients(c, mesh, "matrix-density field")
-    x = cn.reshape(plan.grid) @ plan.tg_first  # [T_x c | G_x c]
-    n_x3 = 3 * plan.grid[-1]
-    tx, gx = x[..., :n_x3], x[..., n_x3:]
-    if mesh.dim == 2:
-        return plan.gather(plan.t[0] @ gx + plan.g[0] @ tx)
-    n_z = plan.grid[0]
-    # [G_x T_y c + T_x G_y c ; T_x T_y c], contracted with [T_z | G_z] at once
-    stack = np.empty((2, n_z, 3 * plan.grid[1], n_x3))
-    np.matmul(plan.t[1], gx, out=stack[0])
-    np.matmul(plan.g[1], tx, out=stack[1])
-    stack[0] += stack[1]
-    np.matmul(plan.t[1], tx, out=stack[1])
-    return plan.gather(plan.tg_lead @ stack.reshape(2 * n_z, -1))
+    return plan.gather(_contract(plan.haptotaxis_steps, cn))
 
 
 def assemble_product_load(mesh, a, b, plan: AssemblyPlan | None = None) -> np.ndarray:

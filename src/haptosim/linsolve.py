@@ -99,8 +99,6 @@ def combine(terms) -> CsrMatrix:
 
     All matrices must share one sparsity pattern (as produced by a single
     :class:`haptosim.fem.AssemblyPlan`); only the value arrays are combined.
-    The stepper combines the three terms of the cell-density system: a
-    weighted mass, the stiffness and the haptotaxis matrix.
     """
     terms = list(terms)
     if not terms:

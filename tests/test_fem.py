@@ -1,3 +1,6 @@
+import tracemalloc
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,41 +216,58 @@ def _brute_force_scatter(mesh, element_matrices):
     return dense
 
 
-def test_assembled_mass_matches_brute_force_scatter():
-    mesh = build_structured_mesh(2, ((0.0, 1.0), (0.0, 1.0)), (2, 2), 0)
+# The brute-force meshes: the second and third have unequal extents and cell
+# counts per axis, so that a mix-up of axes, of offsets or of the gather into
+# CSR order shows; a single element cannot.
+BRUTE_FORCE_MESHES = [
+    (2, ((0.0, 1.0), (0.0, 1.0)), (2, 2)),
+    (2, ((0.0, 2.0), (0.0, 3.0)), (2, 2)),
+    (2, ((0.0, 2.0), (-1.0, 0.5)), (6, 4)),
+    (3, ((0.0, 1.0), (-1.0, 1.5), (2.0, 6.0)), (3, 4, 5)),
+]
+
+
+@lru_cache(maxsize=None)
+def _oracle_unit_forms(name, size):
+    """The oracle element form of each unit coefficient vector, stacked."""
+    unit = np.eye(2 ** len(size))
+    return np.array([oracle_form(name, np.array(size), e) for e in unit])
+
+
+def _brute_force_form(mesh, name, *coefficients):
     sizes = mesh.element_sizes()
-    ref = _brute_force_scatter(
-        mesh, [oracle_form("mass", sizes[e]) for e in range(mesh.n_elements)]
-    )
-    assert np.max(np.abs(assemble_mass(mesh).to_scipy().toarray() - ref)) < 1e-14
+    if not coefficients:
+        return _brute_force_scatter(mesh, [oracle_form(name, s) for s in sizes])
+    # the element forms are linear in the element's coefficients
+    (v,) = coefficients
+    return _brute_force_scatter(mesh, [
+        np.tensordot(v[mesh.elements[e]], _oracle_unit_forms(name, tuple(sizes[e])), axes=1)
+        for e in range(mesh.n_elements)
+    ])
+
+
+def test_assembled_mass_matches_brute_force_scatter():
+    # and the stiffness, the other form without coefficients
+    for dim, extents, cells in BRUTE_FORCE_MESHES:
+        mesh = build_structured_mesh(dim, extents, cells, 0)
+        for name, form in (("mass", assemble_mass), ("stiffness", assemble_stiffness)):
+            dense = form(mesh).to_scipy().toarray()
+            assert np.max(np.abs(dense - _brute_force_form(mesh, name))) < 1e-14, (cells, name)
 
 
 @given(seed=st.integers(0, 2**31))
 @settings(max_examples=15, deadline=None)
 def test_assembled_coefficient_forms_match_brute_force(seed):
-    mesh = build_structured_mesh(2, ((0.0, 2.0), (0.0, 3.0)), (2, 2), 0)
     rng = np.random.default_rng(seed)
-    c = rng.uniform(-1, 1, mesh.n_nodes)
-    w = rng.uniform(-1, 1, mesh.n_nodes)
-    sizes = mesh.element_sizes()
-    ref_b = _brute_force_scatter(
-        mesh,
-        [
-            oracle_form("haptotaxis", sizes[e], c[mesh.elements[e]])
-            for e in range(mesh.n_elements)
-        ],
-    )
-    ref_w = _brute_force_scatter(
-        mesh,
-        [
-            oracle_form("weighted_mass", sizes[e], w[mesh.elements[e]])
-            for e in range(mesh.n_elements)
-        ],
-    )
-    b = assemble_haptotaxis(mesh, c).to_scipy().toarray()
-    wm = assemble_weighted_mass(mesh, w).to_scipy().toarray()
-    assert np.max(np.abs(b - ref_b)) < 1e-14
-    assert np.max(np.abs(wm - ref_w)) < 1e-14
+    for dim, extents, cells in BRUTE_FORCE_MESHES:
+        mesh = build_structured_mesh(dim, extents, cells, 0)
+        plan = AssemblyPlan(mesh)
+        c = rng.uniform(-1, 1, mesh.n_nodes)
+        w = rng.uniform(-1, 1, mesh.n_nodes)
+        b = assemble_haptotaxis(mesh, c, plan).to_scipy().toarray()
+        wm = assemble_weighted_mass(mesh, w, plan).to_scipy().toarray()
+        assert np.max(np.abs(b - _brute_force_form(mesh, "haptotaxis", c))) < 1e-14, cells
+        assert np.max(np.abs(wm - _brute_force_form(mesh, "weighted_mass", w))) < 1e-14, cells
 
 
 def test_assembled_load_matches_brute_force():
@@ -288,6 +308,24 @@ def test_assembly_is_bitwise_deterministic():
     assert assemble_mass(mesh).data.tobytes() == assemble_mass(mesh).data.tobytes()
 
 
+def test_assembly_memory_is_linear_in_the_nodes():
+    # 10,000 nodes, 5,000 of them along the first axis: a plan that held a
+    # dense (axis x axis) table per axis would need gigabytes here; the
+    # per-axis steps need well under 1 kB per node
+    mesh = build_structured_mesh(2, ((0.0, 4999.0), (0.0, 1.0)), (4999, 1), 0)
+    w = np.random.default_rng(2).uniform(0, 1, mesh.n_nodes)
+    tracemalloc.start()
+    try:
+        plan = AssemblyPlan(mesh)
+        forms = [assemble_mass(mesh, plan), assemble_stiffness(mesh, plan),
+                 assemble_weighted_mass(mesh, w, plan), assemble_haptotaxis(mesh, w, plan)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(f.nnz == forms[0].nnz for f in forms)
+    assert peak <= 2000 * mesh.n_nodes
+
+
 def test_assemble_rejects_mesh_mismatch():
     mesh = build_structured_mesh(2, UNIT, (1, 1), 0)
     other = build_structured_mesh(2, UNIT, (1, 1), 1)
@@ -299,11 +337,15 @@ def test_assemble_rejects_mesh_mismatch():
 
 
 def test_weighted_mass_symmetry_assembled():
-    mesh = build_structured_mesh(2, ((0.0, 1.0), (0.0, 1.0)), (2, 2), 1)
     rng = np.random.default_rng(5)
-    w = rng.uniform(-1, 1, mesh.n_nodes)
-    mat = assemble_weighted_mass(mesh, w).to_scipy().toarray()
-    assert np.max(np.abs(mat - mat.T)) < 1e-15
+    for dim, extents, cells, refinements in (
+        (2, ((0.0, 1.0), (0.0, 1.0)), (2, 2), 1),
+        (3, ((0.0, 1.0), (-1.0, 1.5), (2.0, 6.0)), (3, 4, 5), 0),
+    ):
+        mesh = build_structured_mesh(dim, extents, cells, refinements)
+        w = rng.uniform(-1, 1, mesh.n_nodes)
+        mat = assemble_weighted_mass(mesh, w).to_scipy().toarray()
+        assert np.max(np.abs(mat - mat.T)) < 1e-15, cells
 
 
 @pytest.mark.parametrize(
@@ -324,36 +366,3 @@ def test_mass_inverse_inverts_assembled_mass(dim, extents, cells, refinements):
         x = apply(b)
         assert x.shape == b.shape
         assert np.linalg.norm(m @ x - b) / np.linalg.norm(b) <= 1e-14
-
-
-@pytest.mark.parametrize(
-    "dim, extents, cells",
-    [
-        (2, ((0.0, 2.0), (-1.0, 0.5)), (6, 4)),
-        (3, ((0.0, 1.0), (-1.0, 1.5), (2.0, 6.0)), (3, 4, 5)),
-    ],
-    ids=["2d-6x4", "3d-3x4x5"],
-)
-def test_per_axis_forms_match_brute_force_scatter(dim, extents, cells):
-    # unequal extents and cell counts per axis, so that a mix-up of axes, of
-    # offsets or of the gather into CSR order shows; one element cannot
-    mesh = build_structured_mesh(dim, extents, cells, 0)
-    plan = AssemblyPlan(mesh)
-    rng = np.random.default_rng(13)
-    w = rng.uniform(-1, 1, mesh.n_nodes)
-    c = rng.uniform(-1, 1, mesh.n_nodes)
-    sizes = mesh.element_sizes()
-    for name, form, coefficients in (
-        ("mass", assemble_mass(mesh, plan), ()),
-        ("stiffness", assemble_stiffness(mesh, plan), ()),
-        ("weighted_mass", assemble_weighted_mass(mesh, w, plan), (w,)),
-        ("haptotaxis", assemble_haptotaxis(mesh, c, plan), (c,)),
-    ):
-        ref = _brute_force_scatter(mesh, [
-            oracle_form(name, sizes[e], *(v[mesh.elements[e]] for v in coefficients))
-            for e in range(mesh.n_elements)
-        ])
-        dense = form.to_scipy().toarray()
-        assert np.max(np.abs(dense - ref)) <= 1e-14 * np.max(np.abs(ref)), name
-        if name == "weighted_mass":
-            assert np.max(np.abs(dense - dense.T)) <= 1e-15 * np.max(np.abs(dense))

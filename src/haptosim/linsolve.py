@@ -14,19 +14,18 @@ contract, in the order they are tried:
 * up to ``DIRECT_LIMIT`` unknowns, LAPACK's banded LU with partial pivoting
   (``dgbsv``).  The structured meshes number their nodes lexicographically,
   first axis fastest, so every assembled matrix is a band whose half-width
-  is set by the first axis (the first two in 3D): nx + 2 on an nx x ny mesh
-  and (nx+1)(ny+1) + nx + 2 on an nx x ny x nz mesh, so N + 2 on a square
-  N x N mesh and (N+1)^2 + N + 2 on a cubic N^3 mesh.  LAPACK stores it in
-  3 half-widths + 1 rows of n values: 0.9 MB at 32x32 and 36 MB at 16^3.
-  A band whose storage exceeds ``BAND_LIMIT`` times the stored entries, as
-  a mesh much longer in its first axis gives, goes to sparse LU (``splu``)
-  instead: it is faster there and its fill a fraction of the band;
+  kl is set by the first axis (the first two in 3D): nx + 2 on an nx x ny
+  mesh and (nx+1)(ny+1) + nx + 2 on an nx x ny x nz mesh.  LAPACK stores it
+  in 3 kl + 1 rows of n values: 0.9 MB at 32x32.  The widest band under the
+  limit is that of a 299 x 1 x 1 mesh (kl = 901, 26 MB);
 * above that, preconditioned BiCGSTAB (CG with ``spd=True``) with one
-  tighter retry and a sparse LU fallback (``splu``; a band would be about
-  1 GB at 32^3).  The preconditioner is Jacobi unless the caller supplies
+  tighter retry.  The preconditioner is Jacobi unless the caller supplies
   one (``precond=``; the stepper passes the inverse mass matrix for the
   matrix-density system).  The systems produced by the time stepper are
-  mass-dominated, so this path converges in a few dozen iterations.
+  mass-dominated and warm-started from the previous sweep, so this path
+  converges in a few dozen iterations; in a run it beats the band, whose
+  cost grows as n kl^2, on every mesh measured above the limit;
+* sparse LU (``splu``), only when both Krylov attempts miss the contract.
 
 Every path ends in the same explicit residual check.
 """
@@ -41,12 +40,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-DIRECT_LIMIT = 10_000
-# band storage over stored entries above which sparse LU is the direct solve.
-# Measured on u systems, splu takes 1.05x the band's time at 128x64 (44) and
-# 0.38x at 256x32 (88); 3D meshes cross over near 100.  Square meshes up to
-# DIRECT_LIMIT stay on the band (99^2: 34), cubic ones up to 18^3 (47)
-BAND_LIMIT = 48
+# largest system solved on the band.  A cold single u solve is faster on the band in 2D
+# up to about 40^2 (1,681 unknowns) and on Krylov in 3D from 9^3 (1,000);
+# in a run, warm-started Krylov is faster on both from a few hundred.  The
+# limit keeps the 32^2 reference mesh (1,089) on the band
+DIRECT_LIMIT = 1_200
 _EPS = float(np.finfo(float).eps)
 
 
@@ -103,9 +101,9 @@ def combine(terms) -> CsrMatrix:
     terms = list(terms)
     if not terms:
         raise ValueError("empty combination")
-    _, first = terms[0]
-    data = np.zeros_like(first.data)
-    for coeff, mat in terms:
+    coeff, first = terms[0]
+    data = coeff * first.data
+    for coeff, mat in terms[1:]:
         if mat.n != first.n or mat.indptr is not first.indptr and not np.array_equal(
             mat.indptr, first.indptr
         ):
@@ -123,20 +121,15 @@ def _relative_residual(ax, b, bnorm) -> float:
     return float(np.linalg.norm(ax - b)) / max(bnorm, _EPS)
 
 
-def _solve_direct(a: CsrMatrix, b):
-    """x and A x, from LAPACK's banded LU of A, or from sparse LU when the band
-    is wide; the band path sums A x from the CSR arrays, so it builds no scipy
-    form."""
+def _solve_band(a: CsrMatrix, b):
+    """x and A x, from LAPACK's banded LU of A; A x is summed from the CSR
+    arrays, so the band path builds no scipy form."""
     # array methods and slicing, not np.diff and np.repeat: on the tiny systems
     # of single-element meshes their Python-level checks cost more than the solve
     rows = np.arange(a.n).repeat(a.indptr[1:] - a.indptr[:-1])
     offsets = rows - a.indices
     kl = int(offsets.max(initial=0))
     ku = int(-offsets.min(initial=0))
-    if (2 * kl + ku + 1) * a.n > BAND_LIMIT * len(a.data):
-        a_op = a.to_scipy()
-        x = _solve_lu(a_op, b)
-        return x, a_op @ x
     # LAPACK band storage: A[i, j] at ab[kl + ku + i - j, j]; the first kl
     # rows are room for the fill-in of the pivoting
     ab = np.zeros((2 * kl + ku + 1, a.n), order="F")
@@ -147,14 +140,6 @@ def _solve_direct(a: CsrMatrix, b):
             f"banded LU factorization failed: pivot {info} is exactly zero", np.inf
         )
     return x, np.bincount(rows, a.data * x[a.indices], minlength=a.n)
-
-
-def _solve_lu(a_scipy, b):
-    try:
-        lu = spla.splu(a_scipy.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # exactly singular
-        raise SolverFailure(f"sparse LU factorization failed: {exc}", np.inf)
-    return lu.solve(b)
 
 
 def _solve_krylov(a_scipy, b, tol_lin, x0=None, spd=False, precond=None):
@@ -178,14 +163,14 @@ def solve(
 ) -> np.ndarray:
     """Solve A x = b to relative residual <= tol_lin.
 
-    Up to DIRECT_LIMIT unknowns the solve is direct (banded LU, or sparse LU
-    for a band wider than BAND_LIMIT allows), above it Krylov with a sparse
-    LU fallback.  ``x0`` warm-starts the Krylov path; ``spd=True`` selects
-    conjugate gradients there.  ``inverse`` (a function b -> A^-1 b) is tried
-    before any other path; ``precond`` (a function approximating
-    v -> A^-1 v) replaces Jacobi as the Krylov preconditioner.  None of these
-    affects the residual contract: a result that misses tol_lin falls through
-    to the next path.
+    Up to DIRECT_LIMIT unknowns the solve is a banded LU (the widest band
+    there is 26 MB), above it Krylov with one tighter retry and then sparse
+    LU as the fallback.  ``x0`` warm-starts the Krylov path; ``spd=True``
+    selects conjugate gradients there.  ``inverse`` (a function
+    b -> A^-1 b) is tried before any other path; ``precond`` (a function
+    approximating v -> A^-1 v) replaces Jacobi as the Krylov preconditioner.
+    None of these affects the residual contract: a result that misses
+    tol_lin falls through to the next path.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (a.n,):
@@ -204,16 +189,20 @@ def solve(
         if np.isfinite(x).all() and _relative_residual(a.to_scipy() @ x, b, bnorm) <= tol_lin:
             return x
 
-    if a.n > DIRECT_LIMIT:
+    if a.n <= DIRECT_LIMIT:
+        x, ax = _solve_band(a, b)
+    else:
         a_op = a.to_scipy()
         for tol in (tol_lin, tol_lin * 1e-2):  # one tighter retry before LU
             x = _solve_krylov(a_op, b, tol, x0=x0, spd=spd, precond=precond)
             if x is not None and _relative_residual(a_op @ x, b, bnorm) <= tol_lin:
                 return x
-        x = _solve_lu(a_op, b)
+        try:
+            lu = spla.splu(a_op.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # exactly singular
+            raise SolverFailure(f"sparse LU factorization failed: {exc}", np.inf)
+        x = lu.solve(b)
         ax = a_op @ x
-    else:
-        x, ax = _solve_direct(a, b)
     residual = _relative_residual(ax, b, bnorm)
     if not np.isfinite(x).all() or residual > tol_lin:
         raise SolverFailure(

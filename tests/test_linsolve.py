@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -27,9 +29,10 @@ def relative_residual(a, x, b) -> float:
 
 
 def take_path(monkeypatch, method):
-    """Send the solves of a test down one path: "iterative" (Krylov with the
-    sparse LU fallback) by lowering DIRECT_LIMIT below every system; "direct"
-    and "auto" leave it, above every system of these tests."""
+    """Send the solves of a test down one path: "iterative" (Krylov, with
+    sparse LU as the fallback) by lowering DIRECT_LIMIT below every system;
+    "direct" and "auto" leave it, so the systems they are used with (at most
+    9 x 9 nodes) take the banded LU."""
     if method == "iterative":
         monkeypatch.setattr(linsolve, "DIRECT_LIMIT", 0)
 
@@ -134,24 +137,51 @@ def _mass_stiffness_3d():
     ])
 
 
+def spy_on_band(monkeypatch):
+    """Count the calls of LAPACK's banded LU; the calls still solve."""
+    calls = []
+    dgbsv = linsolve.lapack.dgbsv
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dgbsv(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve.lapack, "dgbsv", counted)
+    return calls
+
+
+def forbid(monkeypatch, module, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"this solve should not reach {name}")
+
+    monkeypatch.setattr(module, name, forbidden)
+
+
 @pytest.mark.parametrize("system", [_u_system_2d, _mass_stiffness_3d], ids=["u2d", "3d"])
 def test_auto_path_solves_mesh_systems_without_splu(monkeypatch, system):
+    # 32^2 (1,089 unknowns) and 8^3 (729) stay on the band: perfbench/checks.py
+    # requires the peaks2d workload, a 32^2 run, to make no Krylov solve
     a = system()
     b = np.random.default_rng(5).standard_normal(a.n)
     ref = spla.splu(a.to_scipy().tocsc()).solve(b)
-
-    def no_factorization(*args, **kwargs):
-        raise AssertionError("the auto path should not reach sparse LU")
-
-    monkeypatch.setattr(linsolve.spla, "splu", no_factorization)
+    bands = spy_on_band(monkeypatch)
+    forbid(monkeypatch, linsolve.spla, "splu")
     x = solve(a, b)
+    assert len(bands) == 1
     assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("cells", [(4999, 1), (69, 69, 1), (256, 32)])
-def test_wide_band_takes_sparse_lu(monkeypatch, cells):
+@pytest.mark.parametrize(
+    "cells",
+    [(4999, 1), (69, 69, 1), (256, 32), (linsolve.DIRECT_LIMIT // 4 - 1, 1, 1)],
+    ids=["4999x1", "69x69x1", "256x32", "widest-band-at-limit"],
+)
+def test_wide_bands_take_krylov_above_the_limit(monkeypatch, cells):
     # the first axis is numbered fastest, so a mesh long in it gives a band
-    # far wider than its stored entries: 1.2 GB of band storage at 4999 x 1
+    # far wider than its stored entries: 1.2 GB of band storage at 4999 x 1.
+    # Above DIRECT_LIMIT these systems take Krylov and no LU at all; the
+    # widest band below it, nx x 1 x 1 with 4 (nx + 1) = DIRECT_LIMIT nodes,
+    # still takes the banded LU
     dim = len(cells)
     mesh = build_structured_mesh(dim, tuple((0.0, float(n)) for n in cells), cells, 0)
     plan = AssemblyPlan(mesh)  # unit cells
@@ -159,12 +189,22 @@ def test_wide_band_takes_sparse_lu(monkeypatch, cells):
         (1.0, assemble_mass(mesh, plan)), (0.5, assemble_stiffness(mesh, plan))
     ])
     b = np.random.default_rng(6).standard_normal(a.n)
-
-    def no_band(*args, **kwargs):
-        raise AssertionError("a wide band should go to sparse LU")
-
-    monkeypatch.setattr(linsolve.lapack, "dgbsv", no_band)
-    x = solve(a, b)
+    forbid(monkeypatch, linsolve.spla, "splu")
+    if a.n > linsolve.DIRECT_LIMIT:
+        forbid(monkeypatch, linsolve.lapack, "dgbsv")
+        x = solve(a, b)
+    else:
+        bands = spy_on_band(monkeypatch)
+        kl = 3 * cells[0] + 4  # (nx+1)(ny+1) + nx + 2 with ny = 1
+        band_bytes = (3 * kl + 1) * a.n * 8  # LAPACK's band, with room for fill
+        tracemalloc.start()
+        try:
+            x = solve(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(bands) == 1
+        assert band_bytes <= peak <= 1.1 * band_bytes
     assert relative_residual(a, x, b) <= 1e-12
 
 
@@ -278,11 +318,8 @@ def test_exact_inverse_is_used_without_factoring(monkeypatch):
     m, b = _mass_system(8)
     dense_inv = np.linalg.inv(dense(m))
 
-    def no_factorization(*args, **kwargs):
-        raise AssertionError("an exact inverse should need no factorization")
-
-    monkeypatch.setattr(linsolve.spla, "splu", no_factorization)
-    monkeypatch.setattr(linsolve.lapack, "dgbsv", no_factorization)
+    forbid(monkeypatch, linsolve.spla, "splu")
+    forbid(monkeypatch, linsolve.lapack, "dgbsv")
     x = solve(m, b, inverse=lambda v: dense_inv @ v)
     np.testing.assert_array_equal(x, dense_inv @ b)
 

@@ -513,11 +513,21 @@ def test_c_solve_converges_with_mass_inverse_preconditioner(monkeypatch):
     assert iterations[0] < iterations[-1]  # fewer iterations than Jacobi's
 
 
-def test_mass_inverse_solves_reproduce_the_factored_path(monkeypatch):
-    """2D reference run to t = 5: the exact p solve and the M^-1-preconditioned
-    c solve commit the same sweep counts as the all-factorization path, and
-    fields within tol_fp."""
-    config = iocfg.parse_config("t_final = 5\nsnapshots =\n")
+@pytest.mark.parametrize(
+    "text",
+    [
+        "t_final = 5\nsnapshots =\n",
+        "dim = 3\nbase_cells = 12\nrefinements = 0\nt_final = 3\nsnapshots =\n",
+    ],
+    ids=["2d", "3d"],
+)
+def test_mass_inverse_solves_reproduce_the_factored_path(monkeypatch, text):
+    """2D reference run to t = 5, and a 3D 12^3 run to t = 3 whose 2,197
+    unknowns take the Krylov path: the production solves (the exact p solve
+    and the M^-1-preconditioned c solve) commit the same sweep counts as the
+    all-factorization path, banded LU on every system, and fields within
+    tol_fp."""
+    config = iocfg.parse_config(text)
     new = run(config)
 
     solve = linsolve.solve
@@ -526,6 +536,7 @@ def test_mass_inverse_solves_reproduce_the_factored_path(monkeypatch):
         return solve(a, b, **kwargs)
 
     monkeypatch.setattr(linsolve, "solve", factored)
+    monkeypatch.setattr(linsolve, "DIRECT_LIMIT", 10_000)
     old = run(config)
 
     assert [r.fp_iters for r in new.diagnostics] == [r.fp_iters for r in old.diagnostics]

@@ -259,33 +259,36 @@ def write_vtk(state: SimState, path) -> None:
     if flagged:
         title += " [breakdown artifact]"
 
-    lines = [
+    n_nodes, n_cells = mesh.n_nodes, mesh.n_elements
+    npe = mesh.nodes_per_element
+    points = np.zeros((n_nodes, 3))  # z padded with 0.0 in 2D
+    points[:, :mesh.dim] = mesh.node_coords
+    sections = [
         "# vtk DataFile Version 3.0",
         title,
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_nodes} double",
+        f"POINTS {n_nodes} double",
+        _format_rows("%r %r %r", points),
+        f"CELLS {n_cells} {n_cells * (npe + 1)}",
+        _format_rows(f"{npe}" + " %d" * npe, mesh.elements),
+        f"CELL_TYPES {n_cells}",
+        "\n".join([str(_VTK_CELL_TYPE[mesh.dim])] * n_cells),
+        f"POINT_DATA {n_nodes}",
     ]
-    for x in mesh.node_coords:
-        coords = list(x) + [0.0] * (3 - mesh.dim)
-        lines.append(" ".join(repr(float(c)) for c in coords))
-
-    npe = mesh.nodes_per_element
-    lines.append(f"CELLS {mesh.n_elements} {mesh.n_elements * (npe + 1)}")
-    for elem in mesh.elements:
-        lines.append(f"{npe} " + " ".join(str(i) for i in elem))
-    lines.append(f"CELL_TYPES {mesh.n_elements}")
-    cell_type = _VTK_CELL_TYPE[mesh.dim]
-    lines.extend(str(cell_type) for _ in range(mesh.n_elements))
-
-    lines.append(f"POINT_DATA {mesh.n_nodes}")
     for name, fld in (("u", state.u), ("c", state.c), ("p", state.p)):
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(repr(float(v)) for v in fld.coeffs)
+        sections.append(f"SCALARS {name} double 1")
+        sections.append("LOOKUP_TABLE default")
+        sections.append("\n".join(map(repr, fld.coeffs.tolist())))
 
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(sections) + "\n")
+
+
+def _format_rows(row_format, table) -> str:
+    """One line per row of a 2D array, all formatted in one pass: ``%r`` of
+    a Python float is its ``repr``, ``%d`` of a Python int its ``str``."""
+    return "\n".join([row_format] * len(table)) % tuple(table.ravel().tolist())
 
 
 def write_diagnostics_csv(records, path) -> None:

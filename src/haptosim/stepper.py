@@ -4,9 +4,9 @@ Each time step advances (u, c, p) by a blended explicit/implicit one-step
 scheme and decouples the three equations with a fixed-point sweep.  One
 sweep maps the iterate x = (u, c, p) to g(x):
 
-  (a) solve for the new u with the iterate's c and u in the drift and
-      logistic terms,
-  (b) solve for the new c with the iterate's p in the degradation term,
+  (a) solve for the new c with the iterate's p in the degradation term,
+  (b) solve for the new u with the iterate's u in the logistic term and the
+      just-computed c in the drift term,
   (c) solve for the new p with the just-computed u and c in the production term,
   (d) stop when all three l2 increments of f = g(x) - x fall below tol_fp and
       commit g(x), the raw output of the sweep,
@@ -17,6 +17,12 @@ sweep maps the iterate x = (u, c, p) to g(x):
       last m differences dF, dG of the residuals f and the outputs g.  With
       ``accel = 0`` every update is the relaxed step.  Both iterations have
       the same fixed points, so they commit the same state up to tol_fp.
+
+The order c, u, p is the block nonlinear Gauss-Seidel order (Ortega &
+Rheinboldt, Iterative Solution of Nonlinear Equations in Several Variables,
+1970, sec. 7.4): c depends only on p, so u can use the c of the same sweep,
+which saves sweeps where the drift couples u to c.  Its fixed points are
+the solutions of the step's coupled equations.
 
 Mass and stiffness matrices are assembled once per mesh; the coefficient-
 dependent matrices and load vectors are reassembled every sweep.  Non-finite
@@ -262,6 +268,10 @@ def fixed_point_advance(
 ) -> tuple[SimState, FixedPointReport]:
     """Advance one time step with the fixed-point sweep.
 
+    Each sweep solves c from the iterate's p, then u from the iterate's u
+    and this c, then p from this u and c.  The new c is checked for blowup
+    before the u system is assembled from it.
+
     Returns the committed state and a report.  On breakdown the report
     carries a :class:`BreakdownReport` and the returned state holds the
     offending iterates flagged as artifacts.
@@ -269,16 +279,21 @@ def fixed_point_advance(
     un, cn, pn = state.u.coeffs, state.c.coeffs, state.p.coeffs
     t_new = state.t + params.dt
 
+    history: list[tuple[float, float, float]] = []
+
+    def stop(report, u, c, p):
+        return (
+            _breakdown_state(state, t_new, u, c, p),
+            FixedPointReport(report.iteration, False, report, tuple(history)),
+        )
+
     x = np.concatenate((un, cn, pn))  # the sweep iterate, starts at the old level
     u_old, c_old, p_old = _blocks(x)
     if not np.isfinite(x).all():  # an old state flagged as a breakdown artifact
         name = next(n for n, v in zip("ucp", (un, cn, pn)) if not np.isfinite(v).all())
         report = BreakdownReport(t_new, 1, name, "non-finite values in the old state",
                                  float("nan"))
-        return (
-            _breakdown_state(state, t_new, u_old, c_old, p_old),
-            FixedPointReport(1, False, report),
-        )
+        return stop(report, u_old, c_old, p_old)
     warm_u, warm_c, warm_p = un, cn, pn  # raw solutions of the previous sweep
     depth = params.accel
     if depth:
@@ -287,7 +302,6 @@ def fixed_point_advance(
         # to holds the last f and g
         d_f = np.empty((depth, x.size))
         d_g = np.empty((depth, x.size))
-    history: list[tuple[float, float, float]] = []
 
     for k in range(1, int(params.max_fp_iters) + 1):
         try:
@@ -295,24 +309,24 @@ def fixed_point_advance(
                 rhs_u = _u_rhs(ops, params, un, cn)
                 rhs_c = _c_rhs(ops, params, cn, pn)
                 rhs_p_const = _p_rhs_const(ops, params, pn, un, cn)
-            u_new = _u_solve(ops, params, u_old, c_old, rhs_u, x0=warm_u)
             c_new = _c_solve(ops, params, p_old, rhs_c, x0=warm_c)
+            # the u system is assembled from this c: a c beyond the threshold
+            # is a breakdown of c, not a failed u solve
+            report = _check_blowup(c_new, "c", params, t_new, k)
+            if report is not None:
+                return stop(report, u_old, c_new, p_old)
+            u_new = _u_solve(ops, params, u_old, c_new, rhs_u, x0=warm_u)
             p_new = _p_solve(ops, params, u_new, c_new, rhs_p_const, x0=warm_p)
         except fem.AssemblyError as exc:
-            # a mixed iterate overflowed, although what it mixes was finite
+            # a mixed iterate overflowed, although what it mixes was finite;
+            # the c that the u system reads has passed the blowup check
             report = BreakdownReport(t_new, k, "iterate", str(exc), float("nan"))
-            return (
-                _breakdown_state(state, t_new, u_old, c_old, p_old),
-                FixedPointReport(k, False, report, tuple(history)),
-            )
+            return stop(report, u_old, c_old, p_old)
 
-        for name, vec in (("u", u_new), ("c", c_new), ("p", p_new)):
+        for name, vec in (("u", u_new), ("p", p_new)):
             report = _check_blowup(vec, name, params, t_new, k)
             if report is not None:
-                return (
-                    _breakdown_state(state, t_new, u_new, c_new, p_new),
-                    FixedPointReport(k, False, report, tuple(history)),
-                )
+                return stop(report, u_new, c_new, p_new)
 
         g = np.concatenate((u_new, c_new, p_new))
         f = g - x

@@ -217,6 +217,57 @@ def test_vtk_breakdown_artifact_flagged(tmp_path):
     assert "[breakdown artifact]" in path.read_text().splitlines()[1]
 
 
+def _reference_vtk_text(state) -> str:
+    """The writer as a plain per-line loop, the oracle for its bytes."""
+    mesh = state.mesh
+    title = f"haptosim fields u,c,p at t={state.t!r}"
+    if state.u.breakdown or state.c.breakdown or state.p.breakdown:
+        title += " [breakdown artifact]"
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {mesh.n_nodes} double"]
+    for x in mesh.node_coords:
+        coords = list(x) + [0.0] * (3 - mesh.dim)
+        lines.append(" ".join(repr(float(c)) for c in coords))
+    npe = mesh.nodes_per_element
+    lines.append(f"CELLS {mesh.n_elements} {mesh.n_elements * (npe + 1)}")
+    for elem in mesh.elements:
+        lines.append(f"{npe} " + " ".join(str(i) for i in elem))
+    lines.append(f"CELL_TYPES {mesh.n_elements}")
+    lines.extend(str({2: 9, 3: 12}[mesh.dim]) for _ in range(mesh.n_elements))
+    lines.append(f"POINT_DATA {mesh.n_nodes}")
+    for name, fld in (("u", state.u), ("c", state.c), ("p", state.p)):
+        lines.append(f"SCALARS {name} double 1")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(repr(float(v)) for v in fld.coeffs)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("dim, cells, lower", [
+    (2, (1, 1), (0.0, 0.0)),
+    (2, (3, 2), (0.5, -1.5)),
+    (3, (2, 1, 3), (-1.0, 0.0, 0.25)),
+], ids=["2d-1x1", "2d-3x2", "3d-2x1x3"])
+@pytest.mark.parametrize("breakdown", [False, True], ids=["clean", "breakdown"])
+def test_vtk_bytes_match_the_per_line_reference(tmp_path, dim, cells, lower, breakdown):
+    from haptosim.mesh import FeField
+
+    extents = tuple((lo, lo + 1.0 + 0.1 * d) for d, lo in enumerate(lower))
+    mesh = build_structured_mesh(dim, extents, cells, 0)
+    rng = np.random.default_rng(dim * 10 + len(cells))
+    fields = [rng.standard_normal(mesh.n_nodes) * 10.0 ** rng.integers(-300, 300, mesh.n_nodes)
+              for _ in range(3)]
+    fields[1][0] = -0.0
+    fields[2][-1] = 0.1 + 0.2
+    if breakdown:
+        fields[0][0] = np.nan
+        fields[1][-1] = np.inf
+        fields[2][0] = -np.inf
+    state = SimState(7.000000000000001, *(FeField(mesh, f, breakdown) for f in fields))
+    path = tmp_path / "snap.vtk"
+    write_vtk(state, path)
+    assert path.read_bytes() == _reference_vtk_text(state).encode("ascii")
+
+
 def _record(time, fp=3, breakdown=0, warnings=(), sweep_residuals=()):
     return StepRecord(
         time, 0.31, 0.0, 1.0, 0.5, 0.5, 0.0, 3.1, 390.0, 0.7, fp, breakdown,

@@ -315,6 +315,65 @@ def test_relaxed_sweep_keeps_its_sweep_counts():
     assert [r.fp_iters for r in result.diagnostics[1:]] == [29, 28, 27, 27, 26]
 
 
+def test_gauss_seidel_sweep_keeps_its_sweep_counts():
+    # the sweep solves c first and u with that c; with strong drift this
+    # takes fewer sweeps than solving u with the iterate's c, which gave
+    # [19, 20, 21, 20, 21] here
+    config = iocfg.parse_config("mu = 1\nchi = 1\nt_final = 5\nsnapshots =\n")
+    result = run(config)
+    assert [r.fp_iters for r in result.diagnostics[1:]] == [12, 13, 13, 13, 13]
+
+
+def test_each_sweep_solves_c_then_u_with_that_c_then_p(monkeypatch):
+    mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (1, 1), 3)
+    from haptosim.model import corner_gaussian_initial_data
+
+    state0 = interpolate_initial_state(corner_gaussian_initial_data(), mesh)
+    calls = []
+
+    def spy(name, solve):
+        def wrapped(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            calls.append((name, args, out))
+            return out
+        return wrapped
+
+    for name in "ucp":
+        attr = f"_{name}_solve"
+        monkeypatch.setattr(stepper, attr, spy(name, getattr(stepper, attr)))
+    params = Parameters(chi=1.0, mu=1.0, dt=1.0)
+    _, report = fixed_point_advance(state0, params, Operators(mesh))
+    assert report.converged and report.iterations > 2
+    assert [c[0] for c in calls] == list("cup") * report.iterations
+    for (_, _, c_new), (_, u_args, u_new), (_, p_args, _) in zip(*[iter(calls)] * 3):
+        _, _, _, c_it, _ = u_args  # (ops, params, u_it, c_it, rhs)
+        assert c_it is c_new
+        assert p_args[2] is u_new and p_args[3] is c_new
+
+
+def test_c_blowup_stops_the_sweep_before_the_u_system(unit_mesh, unit_ops, monkeypatch):
+    # the u system is assembled from the c of the same sweep: a c beyond the
+    # threshold is a breakdown of c, not a failed u solve
+    def huge_c(ops, params, p_it, rhs, x0=None):
+        return np.full_like(rhs, 1e7)
+
+    def no_u_solve(*args, **kwargs):
+        raise AssertionError("the u system was solved with a blown-up c")
+
+    monkeypatch.setattr(stepper, "_c_solve", huge_c)
+    monkeypatch.setattr(stepper, "_u_solve", no_u_solve)
+    params = Parameters(chi=1.0, mu=1.0, theta=0.5, dt=1.0)
+    new_state, report = fixed_point_advance(
+        constant_state(unit_mesh, 0.5, 0.9, 0.1), params, unit_ops
+    )
+    assert not report.converged and report.iterations == 1
+    assert report.breakdown.field == "c" and report.breakdown.iteration == 1
+    assert "threshold" in report.breakdown.reason
+    assert report.breakdown.magnitude == 1e7
+    assert new_state.c.breakdown
+    np.testing.assert_array_equal(new_state.c.coeffs, 1e7)
+
+
 def test_accelerated_and_relaxed_sweeps_commit_the_same_states():
     mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (1, 1), 3)
     from haptosim.model import corner_gaussian_initial_data, interpolate_initial_state

@@ -12,12 +12,18 @@ contract, in the order they are tried:
   Kronecker-factored inverse of the scaled mass matrix for the protease
   system), accepted when its result meets the contract;
 * up to ``DIRECT_LIMIT`` unknowns, LAPACK's banded LU with partial pivoting
-  (``dgbsv``).  The structured meshes number their nodes lexicographically,
-  first axis fastest, so every assembled matrix is a band whose half-width
-  kl is set by the first axis (the first two in 3D): nx + 2 on an nx x ny
-  mesh and (nx+1)(ny+1) + nx + 2 on an nx x ny x nz mesh.  LAPACK stores it
-  in 3 kl + 1 rows of n values: 0.9 MB at 32x32.  The widest band under the
-  limit is that of a 299 x 1 x 1 mesh (kl = 901, 26 MB);
+  (``dgbtrf``, then ``dgbtrs``).  The structured meshes number their nodes
+  lexicographically, first axis fastest, so every assembled matrix is a band
+  whose half-width kl is set by the first axis (the first two in 3D): nx + 2
+  on an nx x ny mesh and (nx+1)(ny+1) + nx + 2 on an nx x ny x nz mesh.
+  LAPACK stores it in 3 kl + 1 rows of n values: 0.9 MB at 32x32.  The
+  widest band under the limit is that of a 299 x 1 x 1 mesh (kl = 901,
+  26 MB).  A caller that solves a sequence of nearby matrices passes a
+  :class:`BandLU`, which keeps the factors of the last matrix it factored;
+  from kl = ``REFINE_MIN_KL`` on, ``x0`` is refined with those factors
+  (iterative refinement, Higham, Accuracy and Stability of Numerical
+  Algorithms, 2nd ed., 2002, ch. 12) and the matrix is factored again only
+  when a refinement step stalls;
 * above that, preconditioned BiCGSTAB (CG with ``spd=True``) with one
   tighter retry.  The preconditioner is Jacobi unless the caller supplies
   one (``precond=``; the stepper passes the inverse mass matrix for the
@@ -45,6 +51,15 @@ from scipy.linalg import lapack
 # in a run, warm-started Krylov is faster on both from a few hundred.  The
 # limit keeps the 32^2 reference mesh (1,089) on the band
 DIRECT_LIMIT = 1_200
+# smallest lower half-width kl at which a band solve refines from held
+# factors.  Below it a refined solve, with its matrix-vector products and
+# about three refinement steps, costs as much as factoring again: whole runs
+# broke even at kl = 20 on 18^2 and lost 28 % at kl = 21 on 3^3
+REFINE_MIN_KL = 22
+# a refinement step must shrink the residual by this factor, and at most
+# REFINE_STEPS of them run; otherwise the matrix is factored again
+REFINE_STALL = 100.0
+REFINE_STEPS = 8
 _EPS = float(np.finfo(float).eps)
 
 
@@ -121,25 +136,83 @@ def _relative_residual(ax, b, bnorm) -> float:
     return float(np.linalg.norm(ax - b)) / max(bnorm, _EPS)
 
 
-def _solve_band(a: CsrMatrix, b):
-    """x and A x, from LAPACK's banded LU of A; A x is summed from the CSR
-    arrays, so the band path builds no scipy form."""
-    # array methods and slicing, not np.diff and np.repeat: on the tiny systems
-    # of single-element meshes their Python-level checks cost more than the solve
-    rows = np.arange(a.n).repeat(a.indptr[1:] - a.indptr[:-1])
-    offsets = rows - a.indices
-    kl = int(offsets.max(initial=0))
-    ku = int(-offsets.min(initial=0))
-    # LAPACK band storage: A[i, j] at ab[kl + ku + i - j, j]; the first kl
-    # rows are room for the fill-in of the pivoting
-    ab = np.zeros((2 * kl + ku + 1, a.n), order="F")
-    ab[kl + ku + offsets, a.indices] = a.data
-    _, _, x, info = lapack.dgbsv(kl, ku, ab, b, overwrite_ab=1)
-    if info > 0:
-        raise SolverFailure(
-            f"banded LU factorization failed: pivot {info} is exactly zero", np.inf
+class BandLU:
+    """Banded LU of the matrices of one CSR pattern, kept across solves.
+
+    The holder works out the band layout of the pattern once: the half-widths
+    kl and ku, the row of each stored entry and its position in LAPACK's band
+    array.  It keeps the ``dgbtrf`` factors of the last matrix it factored.
+    :func:`solve` refines a warm start with these factors when the new matrix
+    is close to that one, and factors the new matrix when it is not.  A
+    matrix with other index arrays drops the layout and the factors.
+    ``factorizations`` counts the ``dgbtrf`` calls.
+    """
+
+    def __init__(self):
+        self.factorizations = 0
+        self._pattern = None  # (indptr, indices) of the layout
+        self._factors = None  # (lu, ipiv) of the last matrix factored
+
+    def _bind(self, a: CsrMatrix) -> None:
+        # a pattern is its pair of index arrays, which all matrices of one
+        # AssemblyPlan, and their combinations, share
+        held = self._pattern
+        if held is not None and held[0] is a.indptr and held[1] is a.indices:
+            return
+        # array methods and slicing, not np.diff and np.repeat: on the tiny
+        # systems of single-element meshes their Python-level checks cost
+        # more than the solve
+        self.rows = np.arange(a.n).repeat(a.indptr[1:] - a.indptr[:-1])
+        offsets = self.rows - a.indices
+        self.kl = int(offsets.max(initial=0))
+        self.ku = int(-offsets.min(initial=0))
+        # LAPACK band storage: A[i, j] at ab[kl + ku + i - j, j]; the first
+        # kl rows are room for the fill-in of the pivoting.  ``scatter`` is
+        # that position in the column-major array
+        self.ldab = 2 * self.kl + self.ku + 1
+        self.scatter = self.kl + self.ku + offsets + self.ldab * a.indices
+        self._pattern = (a.indptr, a.indices)
+        self._factors = None
+
+    def solve(self, a: CsrMatrix, b, bnorm, tol_lin, x0=None):
+        """x and A x.  From held factors and a warm start ``x0``, refinement
+        steps x += LU^-1 (b - A x) run while each shrinks the residual by
+        REFINE_STALL, to tol_lin; otherwise A is factored and kept."""
+        self._bind(a)
+        if self._factors is not None and x0 is not None and self.kl >= REFINE_MIN_KL:
+            refined = self._refine(a, b, bnorm, tol_lin, x0)
+            if refined is not None:
+                return refined
+        ab = np.zeros(self.ldab * a.n)
+        ab[self.scatter] = a.data
+        lu, ipiv, info = lapack.dgbtrf(
+            ab.reshape(a.n, self.ldab).T, self.kl, self.ku, overwrite_ab=1
         )
-    return x, np.bincount(rows, a.data * x[a.indices], minlength=a.n)
+        self.factorizations += 1
+        if info > 0:
+            self._factors = None
+            raise SolverFailure(
+                f"banded LU factorization failed: pivot {info} is exactly zero", np.inf
+            )
+        self._factors = (lu, ipiv)
+        x, _ = lapack.dgbtrs(lu, self.kl, self.ku, b, ipiv)
+        # A x from the CSR arrays, so that this path builds no scipy form
+        return x, np.bincount(self.rows, a.data * x[a.indices], minlength=a.n)
+
+    def _refine(self, a, b, bnorm, tol_lin, x0):
+        lu, ipiv = self._factors
+        a_op = a.to_scipy()
+        x = np.array(x0, dtype=float)
+        previous = np.inf
+        for step in range(REFINE_STEPS + 1):
+            ax = a_op @ x
+            residual = _relative_residual(ax, b, bnorm)
+            if residual <= tol_lin:
+                return x, ax
+            if step == REFINE_STEPS or not residual * REFINE_STALL <= previous:
+                return None
+            previous = residual
+            x += lapack.dgbtrs(lu, self.kl, self.ku, b - ax, ipiv)[0]
 
 
 def _solve_krylov(a_scipy, b, tol_lin, x0=None, spd=False, precond=None):
@@ -160,13 +233,17 @@ def _solve_krylov(a_scipy, b, tol_lin, x0=None, spd=False, precond=None):
 
 def solve(
     a: CsrMatrix, b, tol_lin=1e-12, x0=None, spd=False, inverse=None, precond=None,
+    band: BandLU | None = None,
 ) -> np.ndarray:
     """Solve A x = b to relative residual <= tol_lin.
 
     Up to DIRECT_LIMIT unknowns the solve is a banded LU (the widest band
     there is 26 MB), above it Krylov with one tighter retry and then sparse
-    LU as the fallback.  ``x0`` warm-starts the Krylov path; ``spd=True``
-    selects conjugate gradients there.  ``inverse`` (a function
+    LU as the fallback.  ``band`` is a :class:`BandLU` that keeps the band
+    layout and factors across calls; from kl = REFINE_MIN_KL on, its held
+    factors refine ``x0`` before A is factored again.  Without a holder every
+    band solve factors A.  ``x0`` also warm-starts the Krylov path;
+    ``spd=True`` selects conjugate gradients there.  ``inverse`` (a function
     b -> A^-1 b) is tried before any other path; ``precond`` (a function
     approximating v -> A^-1 v) replaces Jacobi as the Krylov preconditioner.
     None of these affects the residual contract: a result that misses
@@ -190,7 +267,8 @@ def solve(
             return x
 
     if a.n <= DIRECT_LIMIT:
-        x, ax = _solve_band(a, b)
+        band = band if band is not None else BandLU()
+        x, ax = band.solve(a, b, bnorm, tol_lin, x0)
     else:
         a_op = a.to_scipy()
         for tol in (tol_lin, tol_lin * 1e-2):  # one tighter retry before LU

@@ -25,7 +25,10 @@ which saves sweeps where the drift couples u to c.  Its fixed points are
 the solutions of the step's coupled equations.
 
 Mass and stiffness matrices are assembled once per mesh; the coefficient-
-dependent matrices and load vectors are reassembled every sweep.  Non-finite
+dependent matrices and load vectors are reassembled every sweep.  The banded
+LU factors of the u and c systems are kept from sweep to sweep and step to
+step: a solve refines its warm start with them and factors its matrix only
+when they no longer fit it (see :class:`haptosim.linsolve.BandLU`).  Non-finite
 iterates or magnitudes beyond the blowup threshold terminate the run
 gracefully with a :class:`BreakdownReport`; exceeding the sweep budget raises
 :class:`NonconvergenceError`.
@@ -120,6 +123,7 @@ class StepRecord:
     breakdown: int
     warnings: tuple[str, ...] = ()
     sweep_residuals: tuple[tuple[float, float, float], ...] = ()
+    band_factorizations: tuple[int, int] = (0, 0)  # banded LUs of the u, c systems
 
 
 @dataclass
@@ -133,7 +137,12 @@ class RunResult:
 
 
 class Operators:
-    """Mesh-bound discrete operators shared by all steps of a run."""
+    """Mesh-bound discrete operators shared by all steps of a run.
+
+    It also holds the band factors of the u and c systems, so a run given
+    the Operators of an earlier run starts from the factors that run left;
+    its solves still meet tol_lin.
+    """
 
     def __init__(self, mesh: StructuredMesh):
         self.mesh = mesh
@@ -143,6 +152,9 @@ class Operators:
         # integral of each basis function; masses are dot products with this
         self.mass_vector = self.mass.matvec(np.ones(mesh.n_nodes))
         self._scaled_mass = None
+        # the band factors of the u and c systems, kept from sweep to sweep
+        self.u_band = linsolve.BandLU()
+        self.c_band = linsolve.BandLU()
 
     @cached_property
     def mass_inverse(self):
@@ -158,6 +170,10 @@ class Operators:
                 factor, CsrMatrix(m.n, m.indptr, m.indices, factor * m.data)
             )
         return self._scaled_mass[1]
+
+    def band_factorizations(self) -> tuple[int, int]:
+        """The banded LU factorizations of the u and c systems so far."""
+        return self.u_band.factorizations, self.c_band.factorizations
 
     def weighted_mass(self, w) -> CsrMatrix:
         return fem.assemble_weighted_mass(self.mesh, w, self.plan)
@@ -203,7 +219,7 @@ def _u_rhs(ops, params, un, cn) -> np.ndarray:
 
 def _u_solve(ops, params, u_it, c_it, rhs, x0=None) -> np.ndarray:
     lhs = _u_system_matrix(ops, params, u_it, c_it, params.theta * params.dt)
-    return _solve(lhs, rhs, params, x0=x0)
+    return _solve(lhs, rhs, params, x0=x0, band=ops.u_band)
 
 
 def _c_rhs(ops, params, cn, pn) -> np.ndarray:
@@ -216,7 +232,7 @@ def _c_rhs(ops, params, cn, pn) -> np.ndarray:
 def _c_solve(ops, params, p_it, rhs, x0=None) -> np.ndarray:
     lhs = _c_system_matrix(ops, params, p_it, params.theta * params.dt)
     # M + theta dt W(p) is mass-dominated: M^-1 preconditions it on the Krylov path
-    return _solve(lhs, rhs, params, x0=x0, precond=ops.mass_inverse)
+    return _solve(lhs, rhs, params, x0=x0, precond=ops.mass_inverse, band=ops.c_band)
 
 
 def _p_rhs_const(ops, params, pn, un, cn) -> np.ndarray:
@@ -394,7 +410,7 @@ def _breakdown_state(state, t_new, u, c, p) -> SimState:
 
 
 def _record(state: SimState, ops: Operators, fp_iters: int, breakdown: int,
-            warnings=(), sweep_residuals=()) -> StepRecord:
+            warnings=(), sweep_residuals=(), band_factorizations=(0, 0)) -> StepRecord:
     masses = [
         float(np.dot(ops.mass_vector, f.coeffs)) for f in (state.u, state.c, state.p)
     ]
@@ -404,7 +420,7 @@ def _record(state: SimState, ops: Operators, fp_iters: int, breakdown: int,
         extrema.append(float(f.coeffs.min()))
     return StepRecord(
         state.t, *extrema, *masses, fp_iters, breakdown, tuple(warnings),
-        sweep_residuals,
+        sweep_residuals, band_factorizations,
     )
 
 
@@ -457,6 +473,7 @@ def simulate(
         snapshots.append((state.t, state.copy()))
 
     for n in range(1, n_steps + 1):
+        before = ops.band_factorizations()
         try:
             new_state, report = fixed_point_advance(state, params, ops)
         except (NonconvergenceError, StepError) as exc:
@@ -464,15 +481,16 @@ def simulate(
             exc.state = state
             raise
         new_state.t = state0.t + n * params.dt  # drift-free step times
+        factored = tuple(b - a for a, b in zip(before, ops.band_factorizations()))
         if report.breakdown is not None:
             records.append(
                 _record(new_state, ops, report.iterations, 1, ("breakdown",),
-                        report.history)
+                        report.history, factored)
             )
             return RunResult(new_state, records, snapshots, report.breakdown)
         flags = step_warnings(state, new_state, params)
         records.append(
-            _record(new_state, ops, report.iterations, 0, flags, report.history)
+            _record(new_state, ops, report.iterations, 0, flags, report.history, factored)
         )
         if n in snapshot_steps:
             snapshots.append((new_state.t, new_state.copy()))

@@ -66,6 +66,26 @@ def test_run_events_carry_the_monitor_flags(tmp_path):
     assert all("oscillation:u" in e["warnings"] for e in events)
 
 
+def test_run_events_count_the_band_factorizations(tmp_path):
+    # on 4^2 (band half-width 6, below linsolve.REFINE_MIN_KL) every u and c
+    # solve factors its matrix; on 32^2 the solves refine from held factors,
+    # so a step factors less often than it sweeps
+    small, large = tmp_path / "small", tmp_path / "large"
+    code = cli.main(["run", "--config", write_config(tmp_path, SMALL_RUN), "--out", str(small)])
+    assert code == cli.EXIT_OK
+    for event in read_events(small):
+        n = event["fp_iters"]
+        assert event["band_factorizations"] == {"u": n, "c": n}
+    code = cli.main(["run", "--set", "t_final=3", "--set", "snapshots=", "--out", str(large)])
+    assert code == cli.EXIT_OK
+    events = read_events(large)
+    first = events[0]["band_factorizations"]
+    assert first["u"] >= 1 and first["c"] >= 1  # nothing is held before the run
+    for event in events:
+        factored = event["band_factorizations"]
+        assert factored["u"] + factored["c"] < event["fp_iters"]
+
+
 def test_run_set_overrides(tmp_path):
     cfg = write_config(tmp_path, SMALL_RUN)
     out = tmp_path / "out"

@@ -268,10 +268,10 @@ def test_vtk_bytes_match_the_per_line_reference(tmp_path, dim, cells, lower, bre
     assert path.read_bytes() == _reference_vtk_text(state).encode("ascii")
 
 
-def _record(time, fp=3, breakdown=0, warnings=(), sweep_residuals=()):
+def _record(time, fp=3, breakdown=0, warnings=(), sweep_residuals=(), factored=(0, 0)):
     return StepRecord(
         time, 0.31, 0.0, 1.0, 0.5, 0.5, 0.0, 3.1, 390.0, 0.7, fp, breakdown,
-        warnings, sweep_residuals,
+        warnings, sweep_residuals, factored,
     )
 
 
@@ -307,8 +307,9 @@ def test_events_jsonl_lines_per_step(tmp_path):
     history = ((0.5, 0.25, 0.125), (1e-9, 2e-9, 3e-10))
     records = [
         _record(0.0, fp=0),
-        _record(1.0, fp=2, warnings=("oscillation:u",), sweep_residuals=history),
-        _record(2.0, fp=1, breakdown=1, warnings=("breakdown",)),
+        _record(1.0, fp=2, warnings=("oscillation:u",), sweep_residuals=history,
+                factored=(1, 2)),
+        _record(2.0, fp=1, breakdown=1, warnings=("breakdown",), factored=(0, 1)),
         _record(3.0),
     ]
     write_events_jsonl(records, path)
@@ -316,6 +317,8 @@ def test_events_jsonl_lines_per_step(tmp_path):
     # no line for the initial row; none past the breakdown row
     assert events == [
         {"time": 1.0, "fp_iters": 2, "warnings": ["oscillation:u"],
-         "sweep_residuals": [list(r) for r in history]},
-        {"time": 2.0, "fp_iters": 1, "warnings": ["breakdown"], "sweep_residuals": []},
+         "sweep_residuals": [list(r) for r in history],
+         "band_factorizations": {"u": 1, "c": 2}},
+        {"time": 2.0, "fp_iters": 1, "warnings": ["breakdown"], "sweep_residuals": [],
+         "band_factorizations": {"u": 0, "c": 1}},
     ]

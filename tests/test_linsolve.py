@@ -6,12 +6,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from haptosim import linsolve
 from haptosim.fem import (
     AssemblyPlan, assemble_haptotaxis, assemble_mass, assemble_stiffness,
+    assemble_weighted_mass,
 )
-from haptosim.linsolve import CsrMatrix, SolverFailure, combine, solve
+from haptosim.linsolve import BandLU, CsrMatrix, SolverFailure, combine, solve
 from haptosim.mesh import build_structured_mesh
 
 
@@ -138,15 +140,16 @@ def _mass_stiffness_3d():
 
 
 def spy_on_band(monkeypatch):
-    """Count the calls of LAPACK's banded LU; the calls still solve."""
+    """Count the calls of LAPACK's banded LU factorization; the calls still
+    factor."""
     calls = []
-    dgbsv = linsolve.lapack.dgbsv
+    dgbtrf = linsolve.lapack.dgbtrf
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return dgbsv(*args, **kwargs)
+        return dgbtrf(*args, **kwargs)
 
-    monkeypatch.setattr(linsolve.lapack, "dgbsv", counted)
+    monkeypatch.setattr(linsolve.lapack, "dgbtrf", counted)
     return calls
 
 
@@ -191,7 +194,7 @@ def test_wide_bands_take_krylov_above_the_limit(monkeypatch, cells):
     b = np.random.default_rng(6).standard_normal(a.n)
     forbid(monkeypatch, linsolve.spla, "splu")
     if a.n > linsolve.DIRECT_LIMIT:
-        forbid(monkeypatch, linsolve.lapack, "dgbsv")
+        forbid(monkeypatch, linsolve.lapack, "dgbtrf")
         x = solve(a, b)
     else:
         bands = spy_on_band(monkeypatch)
@@ -206,6 +209,107 @@ def test_wide_bands_take_krylov_above_the_limit(monkeypatch, cells):
         assert len(bands) == 1
         assert band_bytes <= peak <= 1.1 * band_bytes
     assert relative_residual(a, x, b) <= 1e-12
+
+
+def _u_systems_2d(weights):
+    """32^2 u systems W(w) + 0.5 K - 0.5 B(c) on one plan, one per weight w."""
+    mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (32, 32), 0)
+    plan = AssemblyPlan(mesh)
+    bump = np.exp(-np.sum(mesh.node_coords**2, axis=1) / 25.0)
+    stiffness = assemble_stiffness(mesh, plan)
+    drift = assemble_haptotaxis(mesh, 1.0 - 0.5 * bump, plan)
+    return [
+        combine([
+            (1.0, assemble_weighted_mass(mesh, w * (1.0 + bump), plan)),
+            (0.5, stiffness), (-0.5, drift),
+        ])
+        for w in weights
+    ]
+
+
+def test_held_factors_refine_slowly_changing_systems(monkeypatch):
+    # the weight drifts by 1e-3 per solve, as the u system does between
+    # sweeps: the first system is factored, the others are refined from it
+    systems = _u_systems_2d([1.0 + 1e-3 * k for k in range(10)])
+    b = np.random.default_rng(7).standard_normal(systems[0].n)
+    factored = spy_on_band(monkeypatch)
+    band = BandLU()
+    x = None
+    for a in systems:
+        x = solve(a, b, tol_lin=1e-12, x0=x, band=band)
+        assert relative_residual(a, x, b) <= 1e-12
+    assert len(factored) == band.factorizations == 1
+
+
+def test_held_factors_of_a_far_matrix_are_replaced(monkeypatch):
+    a, doubled = _u_systems_2d([1.0, 2.0])
+    b = np.random.default_rng(8).standard_normal(a.n)
+    factored = spy_on_band(monkeypatch)
+    band = BandLU()
+    x = solve(a, b, band=band)
+    substitutions = []
+    dgbtrs = linsolve.lapack.dgbtrs
+
+    def counted(*args, **kwargs):
+        substitutions.append(1)
+        return dgbtrs(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve.lapack, "dgbtrs", counted)
+    y = solve(doubled, b, x0=x, band=band)
+    assert relative_residual(doubled, y, b) <= 1e-12
+    assert len(factored) == band.factorizations == 2
+    # the first refinement step stalls, and the new factors solve once
+    assert len(substitutions) == 2
+
+
+@pytest.mark.parametrize(
+    "system", [_u_system_2d, _mass_stiffness_3d, lambda: _mass_system(1)[0]],
+    ids=["u2d", "3d", "one-element"],
+)
+def test_band_solve_without_holder_equals_dgbsv(system):
+    # dgbsv is dgbtrf followed by dgbtrs; the oracle builds its own band array
+    a = system()
+    b = np.random.default_rng(9).standard_normal(a.n)
+    rows = np.repeat(np.arange(a.n), np.diff(a.indptr))
+    kl = int(np.max(rows - a.indices))
+    ku = int(np.max(a.indices - rows))
+    ab = np.zeros((2 * kl + ku + 1, a.n), order="F")
+    ab[kl + ku + rows - a.indices, a.indices] = a.data
+    _, _, oracle, info = lapack.dgbsv(kl, ku, ab, b)
+    assert info == 0
+    assert solve(a, b).tobytes() == oracle.tobytes()
+
+
+def test_band_solves_below_the_gate_factor_every_call(monkeypatch):
+    m, b = _mass_system(4)  # kl = 6
+    fresh = solve(m, b)
+    factored = spy_on_band(monkeypatch)
+    band = BandLU()
+    x = None
+    for _ in range(3):
+        x = solve(m, b, x0=x, band=band)
+        assert x.tobytes() == fresh.tobytes()
+    assert band.kl < linsolve.REFINE_MIN_KL
+    assert len(factored) == band.factorizations == 3
+
+
+def test_held_factors_of_another_pattern_are_not_reused(monkeypatch):
+    a = _u_system_2d()
+    b = np.random.default_rng(10).standard_normal(a.n)
+    # the same matrix with an explicit zero stored in row 0: the held factors
+    # would solve it exactly, but its pattern is another one
+    pos = a.indptr[0] + np.searchsorted(a.indices[a.indptr[0]:a.indptr[1]], 2)
+    indptr = a.indptr.copy()
+    indptr[1:] += 1
+    padded = CsrMatrix(
+        a.n, indptr, np.insert(a.indices, pos, 2), np.insert(a.data, pos, 0.0)
+    )
+    factored = spy_on_band(monkeypatch)
+    band = BandLU()
+    x = solve(a, b, band=band)
+    y = solve(padded, b, x0=x, band=band)
+    assert relative_residual(padded, y, b) <= 1e-12
+    assert len(factored) == band.factorizations == 2
 
 
 def test_failed_krylov_reaches_the_lu_fallback_once(monkeypatch):
@@ -319,7 +423,7 @@ def test_exact_inverse_is_used_without_factoring(monkeypatch):
     dense_inv = np.linalg.inv(dense(m))
 
     forbid(monkeypatch, linsolve.spla, "splu")
-    forbid(monkeypatch, linsolve.lapack, "dgbsv")
+    forbid(monkeypatch, linsolve.lapack, "dgbtrf")
     x = solve(m, b, inverse=lambda v: dense_inv @ v)
     np.testing.assert_array_equal(x, dense_inv @ b)
 

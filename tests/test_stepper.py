@@ -315,13 +315,39 @@ def test_relaxed_sweep_keeps_its_sweep_counts():
     assert [r.fp_iters for r in result.diagnostics[1:]] == [29, 28, 27, 27, 26]
 
 
-def test_gauss_seidel_sweep_keeps_its_sweep_counts():
+EQUAL_RATES_TO_5 = "mu = 1\nchi = 1\nt_final = 5\nsnapshots =\n"
+
+
+def test_gauss_seidel_sweep_keeps_its_sweep_counts(monkeypatch):
     # the sweep solves c first and u with that c; with strong drift this
     # takes fewer sweeps than solving u with the iterate's c, which gave
     # [19, 20, 21, 20, 21] here
-    config = iocfg.parse_config("mu = 1\nchi = 1\nt_final = 5\nsnapshots =\n")
-    result = run(config)
-    assert [r.fp_iters for r in result.diagnostics[1:]] == [12, 13, 13, 13, 13]
+    factored = []
+    dgbtrf = linsolve.lapack.dgbtrf
+
+    def counted(*args, **kwargs):
+        factored.append(1)
+        return dgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve.lapack, "dgbtrf", counted)
+    result = run(iocfg.parse_config(EQUAL_RATES_TO_5))
+    sweeps = [r.fp_iters for r in result.diagnostics[1:]]
+    assert sweeps == [12, 13, 13, 13, 13]
+    # 32^2: every u and c solve is a band solve, refined from the factors
+    # that Operators holds; the step records count the same factorizations
+    assert len(factored) < 2 * sum(sweeps)
+    assert sum(sum(r.band_factorizations) for r in result.diagnostics) == len(factored)
+
+
+def test_held_band_factors_keep_the_fresh_factor_trajectory(monkeypatch):
+    held = run(iocfg.parse_config(EQUAL_RATES_TO_5))
+    monkeypatch.setattr(linsolve, "REFINE_MIN_KL", math.inf)  # factor every solve
+    fresh = run(iocfg.parse_config(EQUAL_RATES_TO_5))
+    assert [r.fp_iters for r in held.diagnostics] == [r.fp_iters for r in fresh.diagnostics]
+    assert all(r.band_factorizations == (r.fp_iters, r.fp_iters) for r in fresh.diagnostics)
+    for name in "ucp":
+        diff = getattr(held.state, name).coeffs - getattr(fresh.state, name).coeffs
+        assert np.max(np.abs(diff)) <= 1e-10
 
 
 def test_each_sweep_solves_c_then_u_with_that_c_then_p(monkeypatch):

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .linsolve import CsrMatrix
+from .linsolve import CsrMatrix, all_finite
 from .mesh import FeField, StructuredMesh
 
 
@@ -95,7 +95,7 @@ def _coefficients(values, mesh, name) -> np.ndarray:
         raise AssemblyError(
             f"{name} has {v.shape} coefficients, mesh has {mesh.n_nodes} nodes"
         )
-    if not np.isfinite(v).all():
+    if not all_finite(v):
         raise AssemblyError(f"non-finite coefficients in {name}")
     return v
 

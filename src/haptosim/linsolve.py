@@ -38,6 +38,7 @@ Every path ends in the same explicit residual check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -132,8 +133,22 @@ def combine(terms) -> CsrMatrix:
     return CsrMatrix(first.n, first.indptr, first.indices, data)
 
 
+def all_finite(v) -> bool:
+    """Whether every entry of a float vector is finite.  A finite v . v has
+    no NaN or infinite term, so one product decides; only when the squares
+    overflow are the entries tested one by one."""
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
+
+
+def _norm(v) -> float:
+    """Euclidean norm of a contiguous float vector.  ``np.linalg.norm`` also
+    returns sqrt(v . v), so the float is the same, without its Python-level
+    dispatch, which costs more than the product on a few unknowns."""
+    return math.sqrt(v.dot(v))
+
+
 def _relative_residual(ax, b, bnorm) -> float:
-    return float(np.linalg.norm(ax - b)) / max(bnorm, _EPS)
+    return _norm(ax - b) / max(bnorm, _EPS)
 
 
 class BandLU:
@@ -206,13 +221,14 @@ class BandLU:
         previous = np.inf
         for step in range(REFINE_STEPS + 1):
             ax = a_op @ x
-            residual = _relative_residual(ax, b, bnorm)
+            r = b - ax  # its norm is exactly that of A x - b
+            residual = _norm(r) / max(bnorm, _EPS)
             if residual <= tol_lin:
                 return x, ax
             if step == REFINE_STEPS or not residual * REFINE_STALL <= previous:
                 return None
             previous = residual
-            x += lapack.dgbtrs(lu, self.kl, self.ku, b - ax, ipiv)[0]
+            x += lapack.dgbtrs(lu, self.kl, self.ku, r, ipiv)[0]
 
 
 def _solve_krylov(a_scipy, b, tol_lin, x0=None, spd=False, precond=None):
@@ -226,7 +242,7 @@ def _solve_krylov(a_scipy, b, tol_lin, x0=None, spd=False, precond=None):
         a_scipy, b, x0=x0, rtol=max(tol_lin * 0.2, 1e-14), atol=0.0,
         maxiter=400, M=spla.LinearOperator(a_scipy.shape, matvec=precond),
     )
-    if info < 0 or not np.isfinite(x).all():
+    if info < 0 or not all_finite(x):
         return None
     return x
 
@@ -249,21 +265,21 @@ def solve(
     None of these affects the residual contract: a result that misses
     tol_lin falls through to the next path.
     """
-    b = np.asarray(b, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)  # so that _norm(b) is np.linalg.norm(b)
     if b.shape != (a.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, matrix is {a.n}x{a.n}")
-    if not np.isfinite(a.data).all():
+    if not all_finite(a.data):
         raise ValueError("matrix contains non-finite entries")
-    if not np.isfinite(b).all():
+    bnorm = _norm(b)
+    # a finite norm proves b finite; an infinite one may be an overflow
+    if not math.isfinite(bnorm) and not all_finite(b):
         raise ValueError("right-hand side contains non-finite entries")
-
-    bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(a.n)
 
     if inverse is not None:
         x = inverse(b)
-        if np.isfinite(x).all() and _relative_residual(a.to_scipy() @ x, b, bnorm) <= tol_lin:
+        if all_finite(x) and _relative_residual(a.to_scipy() @ x, b, bnorm) <= tol_lin:
             return x
 
     if a.n <= DIRECT_LIMIT:
@@ -282,7 +298,7 @@ def solve(
         x = lu.solve(b)
         ax = a_op @ x
     residual = _relative_residual(ax, b, bnorm)
-    if not np.isfinite(x).all() or residual > tol_lin:
+    if not all_finite(x) or residual > tol_lin:
         raise SolverFailure(
             f"linear solve reached relative residual {residual:.3e} > {tol_lin:.1e}",
             residual,

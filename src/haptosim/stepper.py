@@ -268,9 +268,10 @@ def _solve(lhs, rhs, params, **kwargs) -> np.ndarray:
 
 
 def _check_blowup(coeffs, name, params, time, iteration) -> BreakdownReport | None:
-    if not np.isfinite(coeffs).all():
+    # one reduction: a NaN or an infinity makes the largest magnitude non-finite
+    magnitude = float(np.abs(coeffs).max(initial=0.0))
+    if not math.isfinite(magnitude):
         return BreakdownReport(time, iteration, name, "non-finite values", float("nan"))
-    magnitude = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
     if magnitude > params.blowup_threshold:
         return BreakdownReport(
             time, iteration, name,

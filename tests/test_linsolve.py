@@ -459,3 +459,80 @@ def test_scipy_form_is_built_once_per_matrix():
     assert m.to_scipy() is m.to_scipy()
     # the assembled pattern is stored in scipy's index dtype, so no copy
     assert np.shares_memory(m.indices, m.to_scipy().indices)
+
+
+def same_float(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def numpy_relative_residual(ax, b) -> float:
+    """The residual of the solve contract, written with np.linalg.norm."""
+    return float(np.linalg.norm(ax - b)) / max(float(np.linalg.norm(b)), np.finfo(float).eps)
+
+
+_RNG = np.random.default_rng(11)
+# entries near 1e155 square past the largest float: both norms overflow to inf
+NORM_VECTORS = {
+    "random": _RNG.standard_normal(1000),
+    "4-entry": _RNG.standard_normal(4),
+    "1e150": 1e150 * _RNG.standard_normal(4),
+    "1e155-overflows": 1e155 * _RNG.standard_normal(64),
+}
+
+
+@pytest.mark.parametrize("v", NORM_VECTORS.values(), ids=NORM_VECTORS.keys())
+def test_norms_are_numpy_norms_bit_for_bit(v):
+    ax = v * (1.0 + 1e-3 * np.random.default_rng(12).standard_normal(v.size))
+    with np.errstate(over="ignore"):
+        bnorm = float(np.linalg.norm(v))
+        assert same_float(linsolve._norm(v), bnorm)
+        assert same_float(linsolve._relative_residual(ax, v, bnorm),
+                          numpy_relative_residual(ax, v))
+        # refinement takes the norm of b - A x, the same float as that of A x - b
+        assert same_float(linsolve._norm(v - ax), float(np.linalg.norm(ax - v)))
+    assert (bnorm == np.inf) == (np.abs(v).max() > 1e154)
+
+
+def _strided(n):
+    return np.random.default_rng(13).standard_normal(2 * n)[::2]
+
+
+@pytest.mark.parametrize(
+    "system, scale",
+    [(_u_system_2d, 1.0), (lambda: _mass_system(1)[0], 1.0),
+     (lambda: _mass_system(1)[0], 1e150), (lambda: _mass_system(1)[0], 1e155)],
+    ids=["u2d", "4-entry", "1e150", "1e155-overflows"],
+)
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_solve_residual_is_the_numpy_norm_formula(monkeypatch, system, scale, layout):
+    a = system()
+    b = scale * _strided(a.n)
+    if layout == "contiguous":
+        b = b.copy()
+    seen = []
+    band_solve = BandLU.solve
+
+    def spy(self, a, b, bnorm, tol_lin, x0=None):
+        x, ax = band_solve(self, a, b, bnorm, tol_lin, x0)
+        seen.append((bnorm, ax))
+        return x, ax
+
+    monkeypatch.setattr(BandLU, "solve", spy)
+    # no residual meets a negative tolerance, so solve reports the one it computed
+    with np.errstate(over="ignore"), pytest.raises(SolverFailure) as err:
+        solve(a, b, tol_lin=-1.0)
+    ((bnorm, ax),) = seen
+    with np.errstate(over="ignore"):
+        assert same_float(bnorm, float(np.linalg.norm(b)))
+        assert same_float(err.value.residual, numpy_relative_residual(ax, b))
+
+
+@pytest.mark.parametrize(
+    "v, finite",
+    [([1.0, -2.0], True), ([1e200, -1e300], True), ([], True), ([1e200, np.nan], False),
+     ([1.0, np.inf], False), ([-np.inf, 1.0], False), ([np.inf, -np.inf], False)],
+    ids=["plain", "squares-overflow", "empty", "nan", "+inf", "-inf", "inf-minus-inf"],
+)
+def test_all_finite_tests_the_entries_when_the_squares_overflow(v, finite):
+    with np.errstate(over="ignore"):
+        assert linsolve.all_finite(np.array(v, dtype=float)) is finite

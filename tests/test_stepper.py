@@ -201,30 +201,96 @@ def test_blowup_threshold_triggers_breakdown(unit_mesh, unit_ops):
     assert report.breakdown is not None
     assert "threshold" in report.breakdown.reason
     assert new_state.u.breakdown
+    # c is solved and checked first; the report names it and its largest value
+    magnitude = float(np.max(np.abs(new_state.c.coeffs)))
+    assert report.breakdown.field == "c" and report.breakdown.magnitude == magnitude
+    assert report.breakdown.reason == f"magnitude {magnitude:.3e} exceeds blowup threshold"
 
 
-def test_nonfinite_old_state_gives_a_breakdown_report(unit_mesh, unit_ops):
-    # the explicit right-hand sides assemble from the old state: theta < 1
-    params = Parameters(theta=0.5, dt=1.0)
+THRESHOLD = Parameters().blowup_threshold
+# the values a sweep's blowup check must report: non-finite ones, and
+# magnitudes one float beyond the threshold
+BAD_VALUES = {
+    "nan": np.nan,
+    "+inf": np.inf,
+    "-inf": -np.inf,
+    "above": np.nextafter(THRESHOLD, np.inf),
+    "-above": -np.nextafter(THRESHOLD, np.inf),
+}
+
+
+def assert_reports(report, field, value, iteration=1, time=1.0):
+    assert report is not None
+    assert (report.field, report.iteration, report.time) == (field, iteration, time)
+    if math.isfinite(value):
+        assert report.magnitude == abs(value)
+        assert report.reason == f"magnitude {abs(value):.3e} exceeds blowup threshold"
+    else:
+        assert report.reason == "non-finite values" and math.isnan(report.magnitude)
+
+
+@pytest.mark.parametrize("value", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+@pytest.mark.parametrize("field", ["u", "c", "p"])
+def test_blowup_check_reports_field_reason_and_magnitude(field, value):
+    params = Parameters()
+    coeffs = np.array([0.5, -0.25, value, 1.0])
+    assert_reports(stepper._check_blowup(coeffs, field, params, 1.0, 1), field, value)
+    # the threshold itself is no breakdown
+    edge = np.array([0.5, -THRESHOLD, THRESHOLD])
+    assert stepper._check_blowup(edge, field, params, 1.0, 1) is None
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in "cp" for v in BAD_VALUES.values()]
+    + [("u", BAD_VALUES["above"]), ("u", BAD_VALUES["-above"])],
+    ids=[f"{f}-{k}" for f in "cp" for k in BAD_VALUES] + ["u-above", "u--above"],
+)
+def test_sweep_breakdown_names_the_field_that_blew_up(unit_mesh, unit_ops, monkeypatch,
+                                                     field, value):
+    # one node of one solution is replaced.  A non-finite u is left out: the
+    # p system is assembled from u before u is checked, so it would stop the
+    # sweep as an assembly error (the solves themselves return finite values
+    # or raise)
+    solve = getattr(stepper, f"_{field}_solve")
+
+    def poisoned(*args, **kwargs):
+        x = solve(*args, **kwargs).copy()
+        x[1] = value
+        return x
+
+    monkeypatch.setattr(stepper, f"_{field}_solve", poisoned)
+    params = Parameters(chi=1.0, mu=1.0, theta=0.5, dt=1.0)
+    new_state, report = fixed_point_advance(
+        constant_state(unit_mesh, 0.5, 0.9, 0.1), params, unit_ops
+    )
+    assert not report.converged and report.iterations == 1
+    assert_reports(report.breakdown, field, value)
+    flagged = getattr(new_state, field)
+    assert flagged.breakdown
+    np.testing.assert_array_equal(flagged.coeffs[1], value)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0], ids=["theta0.5", "theta1"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("field", ["u", "c", "p"])
+def test_nonfinite_old_state_gives_a_breakdown_report(unit_mesh, unit_ops, field, value,
+                                                       theta):
+    # theta < 1: the explicit right-hand sides assemble from the old state.
+    # theta = 1 and chi = 0: no assembly reads the old state, but the
+    # right-hand sides M u, M c, M p are non-finite and would reach the solves
+    params = Parameters(theta=theta, chi=0.0 if theta == 1.0 else Parameters().chi, dt=1.0)
     state = constant_state(unit_mesh, 0.5, 0.9, 0.1)
-    state.u.coeffs[4] = np.nan
+    getattr(state, field).coeffs[4] = value
     new_state, report = fixed_point_advance(state, params, unit_ops)
-    assert not report.converged
-    assert report.breakdown is not None and report.breakdown.iteration == 1
-    assert "non-finite" in report.breakdown.reason
-    assert report.breakdown.field == "u"
-    assert new_state.u.breakdown
-
-    # theta = 1 and chi = 0: no assembly reads c, but the right-hand side M c
-    # is non-finite and would reach the linear solve
-    params = Parameters(theta=1.0, chi=0.0, dt=1.0)
-    state = constant_state(unit_mesh, 0.5, 0.9, 0.1)
-    state.c.coeffs[4] = np.nan
-    new_state, report = fixed_point_advance(state, params, unit_ops)
-    assert not report.converged
-    assert report.breakdown is not None and report.breakdown.iteration == 1
-    assert report.breakdown.field == "c" and "non-finite" in report.breakdown.reason
-    assert new_state.c.breakdown and np.isnan(new_state.c.coeffs[4])
+    assert not report.converged and report.iterations == 1
+    breakdown = report.breakdown
+    assert (breakdown.field, breakdown.iteration, breakdown.time) == (field, 1, 1.0)
+    assert breakdown.reason == "non-finite values in the old state"
+    assert math.isnan(breakdown.magnitude)
+    flagged = getattr(new_state, field)
+    assert flagged.breakdown
+    np.testing.assert_array_equal(flagged.coeffs[4], value)
 
 
 def test_stop_errors_carry_the_last_committed_state(unit_mesh):

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .linsolve import CsrMatrix, all_finite
+from .linsolve import CsrMatrix, all_finite, csr_product
 from .mesh import FeField, StructuredMesh
 
 
@@ -175,9 +175,12 @@ def _axis_step(blocks, lines: int) -> sp.csr_matrix:
 
 
 def _contract(steps, v: np.ndarray) -> np.ndarray:
-    """Apply the axis steps of a form to the nodal coefficients ``v``."""
+    """Apply the axis steps of a form to the nodal coefficients ``v``, each
+    through :func:`haptosim.linsolve.csr_product`, the kernel of scipy's
+    ``@`` without its dispatch."""
     for step in steps:
-        v = step @ v.reshape(step.shape[1], -1)
+        cols = step.shape[1]
+        v = csr_product(step.indptr, step.indices, step.data, cols, v.reshape(cols, -1))
     return v
 
 

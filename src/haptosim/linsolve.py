@@ -2,7 +2,8 @@
 
 The module holds what the time stepper calls and nothing else: the
 :class:`CsrMatrix` that :mod:`haptosim.fem` assembles, :func:`combine` for
-linear combinations of matrices that share one pattern, and :func:`solve`.
+linear combinations of matrices that share one pattern, :func:`csr_product`
+for their products and :func:`solve`.
 
 ``solve`` guarantees a relative residual  ||Ax - b|| / max(||b||, eps)  below
 ``tol_lin`` or raises :class:`SolverFailure`.  The mechanisms behind the
@@ -33,7 +34,13 @@ contract, in the order they are tried:
   cost grows as n kl^2, on every mesh measured above the limit;
 * sparse LU (``splu``), only when both Krylov attempts miss the contract.
 
-Every path ends in the same explicit residual check.
+Every path ends in the same explicit residual check.  Its product A x, and
+every other product with a :class:`CsrMatrix` or with the axis steps of
+:mod:`haptosim.fem`, is :func:`csr_product`: a direct call of the compiled
+kernels behind scipy's ``@`` (``csr_matvec`` and ``csr_matvecs`` of the
+private ``scipy.sparse._sparsetools``), with the same bits and without
+scipy's dispatch.  A scipy matrix is built only where a scipy solver takes
+one: BiCGSTAB or CG, their Jacobi diagonal and the sparse-LU fallback.
 """
 
 from __future__ import annotations
@@ -46,16 +53,17 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
 
-# largest system solved on the band.  A cold single u solve is faster on the band in 2D
-# up to about 40^2 (1,681 unknowns) and on Krylov in 3D from 9^3 (1,000);
-# in a run, warm-started Krylov is faster on both from a few hundred.  The
-# limit keeps the 32^2 reference mesh (1,089) on the band
+# largest system solved on the band.  With its factors held across sweeps
+# the band wins whole runs up to 32^2 (1,089 unknowns) in 2D and 9^3 (1,000)
+# in 3D, and warm-started Krylov wins from 40^2 (1,681) and 10^3 (1,331)
 DIRECT_LIMIT = 1_200
 # smallest lower half-width kl at which a band solve refines from held
 # factors.  Below it a refined solve, with its matrix-vector products and
-# about three refinement steps, costs as much as factoring again: whole runs
-# broke even at kl = 20 on 18^2 and lost 28 % at kl = 21 on 3^3
+# about three refinement steps, can cost more than factoring again: whole
+# 2D runs gain 8-25 % from refining at kl = 14-21 (12^2-19^2), but on 3^3
+# (kl = 21) refinement stalls in a quarter of the solves and the run loses
 REFINE_MIN_KL = 22
 # a refinement step must shrink the residual by this factor, and at most
 # REFINE_STEPS of them run; otherwise the matrix is factored again
@@ -91,7 +99,8 @@ class CsrMatrix:
 
     def to_scipy(self) -> sp.csr_matrix:
         """The scipy form, built on first use and then shared (the matrix is
-        immutable), so a matrix reused across solves converts once."""
+        immutable).  Products do not need it; scipy's Krylov solvers and
+        sparse LU do."""
         return self._scipy
 
     @cached_property
@@ -105,7 +114,32 @@ class CsrMatrix:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"vector has shape {x.shape}, matrix is {self.n}x{self.n}")
-        return self.to_scipy() @ x
+        return csr_product(self.indptr, self.indices, self.data, self.n, x)
+
+
+def csr_product(indptr, indices, data, n_cols, x) -> np.ndarray:
+    """The CSR matrix (indptr, indices, data) of n_cols columns times x, one
+    vector of n_cols entries or an (n_cols, k) stack of k vectors.
+
+    It calls the compiled kernels that scipy's ``@`` calls, in the same
+    cases (``csr_matvec`` for one vector, ``csr_matvecs`` for more), so
+    every sum runs in the same order and gives the same bits, without
+    scipy's Python-level dispatch or a ``csr_matrix``.  The kernels check
+    no lengths or types, so this does.
+    """
+    if data.dtype != np.float64:
+        raise TypeError(f"matrix values are {data.dtype}, not float64")
+    x = np.ascontiguousarray(x, dtype=float)
+    if not 1 <= x.ndim <= 2 or x.shape[0] != n_cols:
+        raise ValueError(f"operand has shape {x.shape}, matrix has {n_cols} columns")
+    n_rows = indptr.size - 1
+    if x.ndim == 1 or x.shape[1] == 1:
+        y = np.zeros(n_rows)
+        _sparsetools.csr_matvec(n_rows, n_cols, indptr, indices, data, x, y)
+        return y if x.ndim == 1 else y.reshape(n_rows, 1)
+    y = np.zeros((n_rows, x.shape[1]))
+    _sparsetools.csr_matvecs(n_rows, n_cols, x.shape[1], indptr, indices, data, x, y)
+    return y
 
 
 def combine(terms) -> CsrMatrix:
@@ -155,8 +189,8 @@ class BandLU:
     """Banded LU of the matrices of one CSR pattern, kept across solves.
 
     The holder works out the band layout of the pattern once: the half-widths
-    kl and ku, the row of each stored entry and its position in LAPACK's band
-    array.  It keeps the ``dgbtrf`` factors of the last matrix it factored.
+    kl and ku and the position of each stored entry in LAPACK's band array.
+    It keeps the ``dgbtrf`` factors of the last matrix it factored.
     :func:`solve` refines a warm start with these factors when the new matrix
     is close to that one, and factors the new matrix when it is not.  A
     matrix with other index arrays drops the layout and the factors.
@@ -177,8 +211,8 @@ class BandLU:
         # array methods and slicing, not np.diff and np.repeat: on the tiny
         # systems of single-element meshes their Python-level checks cost
         # more than the solve
-        self.rows = np.arange(a.n).repeat(a.indptr[1:] - a.indptr[:-1])
-        offsets = self.rows - a.indices
+        rows = np.arange(a.n).repeat(a.indptr[1:] - a.indptr[:-1])
+        offsets = rows - a.indices
         self.kl = int(offsets.max(initial=0))
         self.ku = int(-offsets.min(initial=0))
         # LAPACK band storage: A[i, j] at ab[kl + ku + i - j, j]; the first
@@ -211,16 +245,14 @@ class BandLU:
             )
         self._factors = (lu, ipiv)
         x, _ = lapack.dgbtrs(lu, self.kl, self.ku, b, ipiv)
-        # A x from the CSR arrays, so that this path builds no scipy form
-        return x, np.bincount(self.rows, a.data * x[a.indices], minlength=a.n)
+        return x, a.matvec(x)
 
     def _refine(self, a, b, bnorm, tol_lin, x0):
         lu, ipiv = self._factors
-        a_op = a.to_scipy()
         x = np.array(x0, dtype=float)
         previous = np.inf
         for step in range(REFINE_STEPS + 1):
-            ax = a_op @ x
+            ax = a.matvec(x)
             r = b - ax  # its norm is exactly that of A x - b
             residual = _norm(r) / max(bnorm, _EPS)
             if residual <= tol_lin:
@@ -279,7 +311,7 @@ def solve(
 
     if inverse is not None:
         x = inverse(b)
-        if all_finite(x) and _relative_residual(a.to_scipy() @ x, b, bnorm) <= tol_lin:
+        if all_finite(x) and _relative_residual(a.matvec(x), b, bnorm) <= tol_lin:
             return x
 
     if a.n <= DIRECT_LIMIT:
@@ -289,14 +321,14 @@ def solve(
         a_op = a.to_scipy()
         for tol in (tol_lin, tol_lin * 1e-2):  # one tighter retry before LU
             x = _solve_krylov(a_op, b, tol, x0=x0, spd=spd, precond=precond)
-            if x is not None and _relative_residual(a_op @ x, b, bnorm) <= tol_lin:
+            if x is not None and _relative_residual(a.matvec(x), b, bnorm) <= tol_lin:
                 return x
         try:
             lu = spla.splu(a_op.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # exactly singular
             raise SolverFailure(f"sparse LU factorization failed: {exc}", np.inf)
         x = lu.solve(b)
-        ax = a_op @ x
+        ax = a.matvec(x)
     residual = _relative_residual(ax, b, bnorm)
     if not all_finite(x) or residual > tol_lin:
         raise SolverFailure(

@@ -163,7 +163,7 @@ class Operators:
 
     def scaled_mass(self, factor) -> CsrMatrix:
         """factor * M, held for the last factor asked for, so that the
-        constant protease matrix and its scipy form are built once per run."""
+        constant protease matrix is built once per run, not once per sweep."""
         if self._scaled_mass is None or self._scaled_mass[0] != factor:
             m = self.mass
             self._scaled_mass = (
@@ -286,8 +286,8 @@ def fixed_point_advance(
     """Advance one time step with the fixed-point sweep.
 
     Each sweep solves c from the iterate's p, then u from the iterate's u
-    and this c, then p from this u and c.  The new c is checked for blowup
-    before the u system is assembled from it.
+    and this c, then p from this u and c.  Each new c and u is checked for
+    blowup before the next system is assembled from it.
 
     Returns the committed state and a report.  On breakdown the report
     carries a :class:`BreakdownReport` and the returned state holds the
@@ -333,17 +333,20 @@ def fixed_point_advance(
             if report is not None:
                 return stop(report, u_old, c_new, p_old)
             u_new = _u_solve(ops, params, u_old, c_new, rhs_u, x0=warm_u)
+            # and the p system from this u
+            report = _check_blowup(u_new, "u", params, t_new, k)
+            if report is not None:
+                return stop(report, u_new, c_new, p_old)
             p_new = _p_solve(ops, params, u_new, c_new, rhs_p_const, x0=warm_p)
         except fem.AssemblyError as exc:
             # a mixed iterate overflowed, although what it mixes was finite;
-            # the c that the u system reads has passed the blowup check
+            # the c and u that the later systems read have passed the check
             report = BreakdownReport(t_new, k, "iterate", str(exc), float("nan"))
             return stop(report, u_old, c_old, p_old)
 
-        for name, vec in (("u", u_new), ("p", p_new)):
-            report = _check_blowup(vec, name, params, t_new, k)
-            if report is not None:
-                return stop(report, u_new, c_new, p_new)
+        report = _check_blowup(p_new, "p", params, t_new, k)
+        if report is not None:
+            return stop(report, u_new, c_new, p_new)
 
         g = np.concatenate((u_new, c_new, p_new))
         f = g - x

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haptosim import fem, linsolve
 from haptosim.fem import (
     AssemblyError,
     AssemblyPlan,
@@ -366,3 +367,39 @@ def test_mass_inverse_inverts_assembled_mass(dim, extents, cells, refinements):
         x = apply(b)
         assert x.shape == b.shape
         assert np.linalg.norm(m @ x - b) / np.linalg.norm(b) <= 1e-14
+
+
+KERNEL_MESHES = {
+    "2d-one-element": (2, ((0.0, 1.0), (0.0, 1.0)), (1, 1), 0),
+    "2d-32x32": (2, ((0.0, 20.0), (0.0, 20.0)), (1, 1), 5),
+    "3d-3x2x4": (3, ((0.0, 1.0), (-1.0, 1.5), (2.0, 6.0)), (3, 2, 4), 0),
+}
+
+
+@pytest.mark.parametrize("form", ["weighted_mass", "haptotaxis"])
+@pytest.mark.parametrize("case", KERNEL_MESHES.values(), ids=KERNEL_MESHES.keys())
+def test_kernel_contract_is_the_scipy_step_loop_bit_for_bit(case, form):
+    # the axis steps go through the compiled kernel behind scipy's `@`; a
+    # renamed or changed kernel fails here
+    mesh = build_structured_mesh(*case)
+    steps = getattr(AssemblyPlan(mesh), f"{form}_steps")
+    v = np.random.default_rng(12).uniform(-1.0, 1.0, mesh.n_nodes)
+    ours = fem._contract(steps, v)
+    ref = v
+    for step in steps:
+        ref = step @ ref.reshape(step.shape[1], -1)
+    assert ours.dtype == ref.dtype and ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes()
+
+
+def test_kernel_contract_rejects_a_wrong_length_before_any_call(monkeypatch):
+    class NoKernel:
+        def __getattr__(self, name):
+            raise AssertionError(f"kernel {name} reached with a wrong operand")
+
+    mesh = build_structured_mesh(2, UNIT, (2, 3), 0)
+    steps = AssemblyPlan(mesh).haptotaxis_steps
+    monkeypatch.setattr(linsolve, "_sparsetools", NoKernel())
+    for n in (mesh.n_nodes - 1, mesh.n_nodes + 1, 2 * mesh.n_nodes + 1):
+        with pytest.raises(ValueError):
+            fem._contract(steps, np.ones(n))

@@ -11,7 +11,7 @@ from scipy.linalg import lapack
 from haptosim import linsolve
 from haptosim.fem import (
     AssemblyPlan, assemble_haptotaxis, assemble_mass, assemble_stiffness,
-    assemble_weighted_mass,
+    assemble_weighted_mass, mass_inverse,
 )
 from haptosim.linsolve import BandLU, CsrMatrix, SolverFailure, combine, solve
 from haptosim.mesh import build_structured_mesh
@@ -91,11 +91,6 @@ def test_unreachable_tolerance_raises_on_every_path(cells, method, monkeypatch):
     assert 1e-30 < err.value.residual < 1e-12
 
 
-def test_band_path_builds_no_scipy_form():
-    m, b = _mass_system(16)  # 289 unknowns: banded LU, residual from the CSR arrays
-    x = solve(m, b)
-    assert "_scipy" not in vars(m)
-    assert relative_residual(m, x, b) <= 1e-12
 
 
 @given(data=st.data())
@@ -227,6 +222,30 @@ def _u_systems_2d(weights):
     ]
 
 
+def test_band_path_builds_no_scipy_form(monkeypatch):
+    m, b = _mass_system(16)  # 289 unknowns: banded LU, residual from the CSR arrays
+    x = solve(m, b)
+    assert "_scipy" not in vars(m)
+    assert relative_residual(m, x, b) <= 1e-12
+    # nor does a refined band solve, a p-style solve through an exact inverse
+    # or a product
+    a, nearby = _u_systems_2d([1.0, 1.0 + 1e-3])
+    b = np.random.default_rng(11).standard_normal(a.n)
+    factored = spy_on_band(monkeypatch)
+    band = BandLU()
+    y = solve(nearby, b, x0=solve(a, b, band=band), band=band)
+    assert len(factored) == band.factorizations == 1  # the second was refined
+    mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (32, 32), 0)
+    mass = assemble_mass(mesh)
+    z = solve(mass, b, inverse=mass_inverse(mesh))
+    assert len(factored) == 1  # the inverse met the contract
+    mass.matvec(z)
+    for matrix in (a, nearby, mass):
+        assert "_scipy" not in vars(matrix)
+    assert relative_residual(nearby, y, b) <= 1e-12
+    assert relative_residual(mass, z, b) <= 1e-12
+
+
 def test_held_factors_refine_slowly_changing_systems(monkeypatch):
     # the weight drifts by 1e-3 per solve, as the u system does between
     # sweeps: the first system is factored, the others are refined from it
@@ -348,6 +367,61 @@ def test_spmv_basics():
     np.testing.assert_array_equal(eye.matvec(x), x)
     with pytest.raises(ValueError):
         a.matvec(np.ones(3))
+
+
+def _random_csr(n, scale, seed):
+    """A random n x n CsrMatrix with about 7 entries per row, every diagonal
+    entry stored, values scaled by ``scale``."""
+    rng = np.random.default_rng(seed)
+    rows = np.arange(n).repeat(7)
+    cols = np.where(np.arange(7 * n) % 7, rng.integers(0, n, 7 * n), rows)
+    m = sp.csr_matrix((np.ones(7 * n), (rows, cols)), shape=(n, n))
+    m.data = scale * rng.standard_normal(m.nnz)
+    return CsrMatrix(n, m.indptr, m.indices, m.data), rng
+
+
+@pytest.mark.parametrize(
+    "n, scale, stride",
+    [(4, 1.0, 1), (1089, 1.0, 1), (1089, 1.0, 3), (1089, 1e150, 1)],
+    ids=["4", "1089", "strided", "near-1e150"],
+)
+def test_kernel_matvec_is_scipy_matmul_bit_for_bit(n, scale, stride):
+    # CsrMatrix.matvec calls the compiled kernel behind scipy's `@` directly;
+    # a renamed or changed kernel fails here
+    a, rng = _random_csr(n, scale, seed=n + stride)
+    x = scale * rng.standard_normal(n * stride)[::stride]
+    ours = a.matvec(x)
+    ref = a.to_scipy() @ x
+    assert ours.dtype == ref.dtype and ours.shape == ref.shape == (n,)
+    assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_kernel_stack_product_is_scipy_matmul_bit_for_bit(k):
+    a, rng = _random_csr(1089, 1.0, seed=k)
+    x = rng.standard_normal((1089, k))
+    ours = linsolve.csr_product(a.indptr, a.indices, a.data, a.n, x)
+    ref = a.to_scipy() @ x
+    assert ours.dtype == ref.dtype and ours.shape == ref.shape == (1089, k)
+    assert ours.tobytes() == ref.tobytes()
+
+
+def test_kernel_rejects_wrong_operands_before_any_call(monkeypatch):
+    class NoKernel:
+        def __getattr__(self, name):
+            raise AssertionError(f"kernel {name} reached with a wrong operand")
+
+    a, _ = _random_csr(4, 1.0, seed=1)
+    monkeypatch.setattr(linsolve, "_sparsetools", NoKernel())
+    for x in (np.ones(3), np.ones(5), np.ones((4, 1)), np.ones(()), [1.0, 2.0]):
+        with pytest.raises(ValueError):
+            a.matvec(x)
+    product = lambda data, x: linsolve.csr_product(a.indptr, a.indices, data, a.n, x)
+    for x in (np.ones((5, 2)), np.ones((3, 1)), np.ones((4, 2, 1)), np.ones(())):
+        with pytest.raises(ValueError):
+            product(a.data, x)
+    with pytest.raises(TypeError):
+        product(a.data.astype(np.float32), np.ones(4))
 
 
 @given(seed=st.integers(0, 2**31))

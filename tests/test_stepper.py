@@ -242,16 +242,12 @@ def test_blowup_check_reports_field_reason_and_magnitude(field, value):
 
 @pytest.mark.parametrize(
     "field, value",
-    [(f, v) for f in "cp" for v in BAD_VALUES.values()]
-    + [("u", BAD_VALUES["above"]), ("u", BAD_VALUES["-above"])],
-    ids=[f"{f}-{k}" for f in "cp" for k in BAD_VALUES] + ["u-above", "u--above"],
+    [(f, v) for f in "cup" for v in BAD_VALUES.values()],
+    ids=[f"{f}-{k}" for f in "cup" for k in BAD_VALUES],
 )
 def test_sweep_breakdown_names_the_field_that_blew_up(unit_mesh, unit_ops, monkeypatch,
                                                      field, value):
-    # one node of one solution is replaced.  A non-finite u is left out: the
-    # p system is assembled from u before u is checked, so it would stop the
-    # sweep as an assembly error (the solves themselves return finite values
-    # or raise)
+    # one node of one solution is replaced
     solve = getattr(stepper, f"_{field}_solve")
 
     def poisoned(*args, **kwargs):
@@ -464,6 +460,31 @@ def test_c_blowup_stops_the_sweep_before_the_u_system(unit_mesh, unit_ops, monke
     assert report.breakdown.magnitude == 1e7
     assert new_state.c.breakdown
     np.testing.assert_array_equal(new_state.c.coeffs, 1e7)
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e7], ids=["nan", "1e7"])
+def test_u_blowup_stops_the_sweep_before_the_p_system(unit_mesh, unit_ops, monkeypatch,
+                                                      value):
+    # the p system is assembled from the u of the same sweep: a u beyond the
+    # threshold, or not finite, is a breakdown of u, not of the p assembly
+    def bad_u(ops, params, u_it, c_new, rhs, x0=None):
+        return np.full_like(rhs, value)
+
+    def no_p_solve(*args, **kwargs):
+        raise AssertionError("the p system was solved with a blown-up u")
+
+    monkeypatch.setattr(stepper, "_u_solve", bad_u)
+    monkeypatch.setattr(stepper, "_p_solve", no_p_solve)
+    params = Parameters(chi=1.0, mu=1.0, theta=0.5, dt=1.0)
+    new_state, report = fixed_point_advance(
+        constant_state(unit_mesh, 0.5, 0.9, 0.1), params, unit_ops
+    )
+    assert not report.converged and report.iterations == 1
+    assert_reports(report.breakdown, "u", value)
+    assert new_state.u.breakdown
+    np.testing.assert_array_equal(new_state.u.coeffs, value)
+    # p stays the old iterate, as no p was solved
+    np.testing.assert_array_equal(new_state.p.coeffs, 0.1)
 
 
 def test_accelerated_and_relaxed_sweeps_commit_the_same_states():

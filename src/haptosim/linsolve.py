@@ -85,7 +85,7 @@ class CsrMatrix:
     """Square sparse matrix in compressed-sparse-row form.
 
     Column indices are strictly increasing within each row and carry no
-    duplicates; all stored values are finite.
+    duplicates; all stored values are finite float64.
     """
 
     n: int

@@ -396,16 +396,6 @@ def test_kernel_matvec_is_scipy_matmul_bit_for_bit(n, scale, stride):
     assert ours.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("k", [1, 2, 7])
-def test_kernel_stack_product_is_scipy_matmul_bit_for_bit(k):
-    a, rng = _random_csr(1089, 1.0, seed=k)
-    x = rng.standard_normal((1089, k))
-    ours = linsolve.csr_product(a.indptr, a.indices, a.data, a.n, x)
-    ref = a.to_scipy() @ x
-    assert ours.dtype == ref.dtype and ours.shape == ref.shape == (1089, k)
-    assert ours.tobytes() == ref.tobytes()
-
-
 def test_kernel_rejects_wrong_operands_before_any_call(monkeypatch):
     class NoKernel:
         def __getattr__(self, name):

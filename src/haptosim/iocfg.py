@@ -24,7 +24,7 @@ from .model import InitialData, Parameters, SimState
 CONFIG_KEYS = (
     "dim", "domain_min", "domain_max", "base_cells", "refinements",
     *(f.name for f in fields(Parameters)),
-    "initial", "snapshots", "out_dir", "vtk_every",
+    "snapshots", "out_dir", "vtk_every",
 )
 
 DIAGNOSTICS_HEADER = (
@@ -47,7 +47,6 @@ class RunConfig:
     base_cells: tuple[int, ...]
     refinements: int
     params: Parameters
-    initial: str
     snapshots: tuple[float, ...]
     out_dir: str
     vtk_every: int
@@ -58,7 +57,7 @@ class RunConfig:
         )
 
     def initial_data(self) -> InitialData:
-        return model.initial_data_family(self.initial)
+        return model.corner_gaussian_initial_data()
 
     @property
     def n_steps(self) -> int:
@@ -180,12 +179,6 @@ def build_config(pairs) -> RunConfig:
     except model.ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
-    lineno, value = raw("initial", "corner-gaussian")
-    initial = value
-    if initial not in model.INITIAL_FAMILIES:
-        known = ", ".join(sorted(model.INITIAL_FAMILIES))
-        raise ConfigError(f"unknown initial-data family {initial!r} (known: {known})")
-
     _, value = raw("out_dir", None)
     out_dir = value if value is not None else os.environ.get("HAPTOSIM_OUT", "out")
 
@@ -200,7 +193,6 @@ def build_config(pairs) -> RunConfig:
         base_cells=base_cells,
         refinements=refinements,
         params=params,
-        initial=initial,
         snapshots=snapshots,
         out_dir=out_dir,
         vtk_every=vtk_every,
@@ -238,7 +230,6 @@ def render_config(config: RunConfig) -> str:
         f"base_cells = {', '.join(str(b) for b in config.base_cells)}",
         f"refinements = {config.refinements}",
         *(f"{f.name} = {getattr(config.params, f.name)}" for f in fields(Parameters)),
-        f"initial = {config.initial}",
         f"snapshots = {floats(config.snapshots)}" if config.snapshots else "snapshots =",
         f"out_dir = {config.out_dir}",
         f"vtk_every = {config.vtk_every}",

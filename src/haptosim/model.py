@@ -42,8 +42,7 @@ class Parameters:
     theta: float = 0.5           # time-scheme blend, 0 explicit .. 1 implicit
     dt: float = 1.0
     t_final: float = 50.0
-    beta: float = 0.5            # fixed-point relaxation, in (0, 1]
-    accel: int = 5               # Anderson mixing depth; 0 is the relaxed sweep
+    beta: float = 0.5            # relaxation of the first fixed-point update, in (0, 1]
     tol_fp: float = 1e-8         # fixed-point stopping tolerance (l2 increments)
     max_fp_iters: int = 100
     tol_lin: float = 1e-12       # linear-solve relative residual tolerance
@@ -73,14 +72,6 @@ class Parameters:
             raise ParameterError(f"theta must lie in [0, 1], got {self.theta}")
         if not 0.0 < self.beta <= 1.0:
             raise ParameterError(f"beta must lie in (0, 1], got {self.beta}")
-        if (
-            isinstance(self.accel, bool)
-            or not isinstance(self.accel, (int, np.integer))
-            or self.accel < 0
-        ):
-            raise ParameterError(
-                f"accel must be a non-negative integer, got {self.accel!r}"
-            )
         if int(self.max_fp_iters) < 1:
             raise ParameterError(
                 f"max_fp_iters must be a positive integer, got {self.max_fp_iters}"
@@ -145,18 +136,6 @@ def corner_gaussian_initial_data() -> InitialData:
         lambda x: 1.0 - 0.5 * _gaussian(x),
         lambda x: 0.5 * _gaussian(x),
     )
-
-
-INITIAL_FAMILIES = {
-    "corner-gaussian": corner_gaussian_initial_data,
-}
-
-
-def initial_data_family(name: str) -> InitialData:
-    if name not in INITIAL_FAMILIES:
-        known = ", ".join(sorted(INITIAL_FAMILIES))
-        raise ParameterError(f"unknown initial-data family {name!r} (known: {known})")
-    return INITIAL_FAMILIES[name]()
 
 
 @dataclass

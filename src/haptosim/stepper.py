@@ -11,12 +11,11 @@ sweep maps the iterate x = (u, c, p) to g(x):
   (d) stop when all three l2 increments of f = g(x) - x fall below tol_fp and
       commit g(x), the raw output of the sweep,
   (e) otherwise take the next iterate and sweep again.  The first update is
-      the relaxed step x + beta f.  With ``accel = m > 0`` every later update
-      is Anderson mixing of depth m (Walker & Ni, SIAM J. Numer. Anal. 49(4),
-      2011): x = g - dG gamma, where gamma minimises |f - dF gamma| over the
-      last m differences dF, dG of the residuals f and the outputs g.  With
-      ``accel = 0`` every update is the relaxed step.  Both iterations have
-      the same fixed points, so they commit the same state up to tol_fp.
+      the relaxed step x + beta f; every later update is Anderson mixing of
+      depth ANDERSON_DEPTH (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011):
+      x = g - dG gamma, where gamma minimises |f - dF gamma| over the last
+      ANDERSON_DEPTH differences dF, dG of the residuals f and the outputs g.
+      The mixing keeps the fixed points of the sweep.
 
 The order c, u, p is the block nonlinear Gauss-Seidel order (Ortega &
 Rheinboldt, Iterative Solution of Nonlinear Equations in Several Variables,
@@ -49,6 +48,8 @@ from .linsolve import CsrMatrix
 from .mesh import FeField, StructuredMesh
 from .model import Parameters, SimState, interpolate_initial_state
 
+ANDERSON_DEPTH = 5  # the differences that each Anderson update mixes
+
 
 class StepError(RuntimeError):
     """A linear solve failed inside a time step.
@@ -57,9 +58,8 @@ class StepError(RuntimeError):
     steps committed before the failure and ``state`` the last committed state.
     """
 
-    def __init__(self, message, report=None):
+    def __init__(self, message):
         super().__init__(message)
-        self.report = report
         self.records: list[StepRecord] = []
         self.state: SimState | None = None
 
@@ -312,13 +312,11 @@ def fixed_point_advance(
                                  float("nan"))
         return stop(report, u_old, c_old, p_old)
     warm_u, warm_c, warm_p = un, cn, pn  # raw solutions of the previous sweep
-    depth = params.accel
-    if depth:
-        # rings of the last `depth` differences of the residuals f and the
-        # outputs g; between sweeps, the slot that the next difference goes
-        # to holds the last f and g
-        d_f = np.empty((depth, x.size))
-        d_g = np.empty((depth, x.size))
+    # rings of the last ANDERSON_DEPTH differences of the residuals f and the
+    # outputs g; between sweeps, the slot that the next difference goes to
+    # holds the last f and g
+    d_f = np.empty((ANDERSON_DEPTH, x.size))
+    d_g = np.empty((ANDERSON_DEPTH, x.size))
 
     for k in range(1, int(params.max_fp_iters) + 1):
         try:
@@ -361,17 +359,16 @@ def fixed_point_advance(
             )
             return committed, FixedPointReport(k, True, None, tuple(history))
 
-        if depth and k > 1:
-            j = (k - 2) % depth
+        if k > 1:
+            j = (k - 2) % ANDERSON_DEPTH
             np.subtract(f, d_f[j], out=d_f[j])
             np.subtract(g, d_g[j], out=d_g[j])
-            h = min(depth, k - 1)
+            h = min(ANDERSON_DEPTH, k - 1)
             x = g - _mixing_weights(d_f[:h], f) @ d_g[:h]
         else:
             x = params.beta * g + (1.0 - params.beta) * x
-        if depth:
-            d_f[(k - 1) % depth] = f
-            d_g[(k - 1) % depth] = g
+        d_f[(k - 1) % ANDERSON_DEPTH] = f
+        d_g[(k - 1) % ANDERSON_DEPTH] = g
         u_old, c_old, p_old = _blocks(x)
         warm_u, warm_c, warm_p = _blocks(g)
         # what the next sweep's assembly finds in memory is x, g and the rings

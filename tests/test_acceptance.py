@@ -127,10 +127,9 @@ def test_criterion_3_strong_drift_breakdown(tmp_path):
 
     The oscillation belongs to the discrete solution, not to the sweep: the
     sweeps whose first update is relaxed by beta = 0.5 and by beta = 1 (at
-    most 17 sweeps per step each with the default Anderson depth 5; the
-    relaxed sweep, accel = 0, takes at most 30 and 34) converge at every
-    step to the same committed states, which must agree to 1e-7 at t = 5
-    (the bound of criterion 9).
+    most 17 sweeps per step each, with Anderson mixing of depth 5) converge
+    at every step to the same committed states, which must agree to 1e-7 at
+    t = 5 (the bound of criterion 9).
     """
     out = tmp_path / "strong-drift"
     cfg = tmp_path / "strong.cfg"

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +115,29 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_run_rejects_the_mixing_depth_as_a_key(tmp_path, capsys):
+    # the sweep's mixing depth is a constant, not a config key
+    code = cli.main(["run", "--set", "accel=5", "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_import_loads_no_other_scipy_subpackage():
+    # the package needs only scipy.linalg and scipy.sparse; scipy.integrate
+    # alone would add about 19 MB and 0.3 s to every run
+    script = (
+        "import sys, haptosim, haptosim.cli\n"
+        "print(' '.join(sorted({n.split('.')[1] for n, m in sys.modules.items()\n"
+        "    if n.startswith('scipy.') and hasattr(m, '__path__')})))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True)
+    public = {name for name in done.stdout.split() if not name.startswith("_")}
+    assert public <= {"linalg", "sparse"}, public
 
 
 def test_run_missing_config_file(tmp_path):

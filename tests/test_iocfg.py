@@ -39,10 +39,9 @@ def test_empty_config_gives_documented_defaults():
     assert cfg.params.dt == 1.0
     assert cfg.params.t_final == 50.0
     assert cfg.params.beta == 0.5
-    assert cfg.params.accel == 5
     assert cfg.params.tol_fp == 1e-8
     assert cfg.snapshots == (5.0, 15.0, 25.0, 35.0)
-    assert cfg.initial == "corner-gaussian"
+    assert cfg.initial_data().name == "corner-gaussian"
     cfg.build_mesh()  # defaults build the reference 33x33 grid
     assert cfg.n_steps == 50
 
@@ -88,8 +87,11 @@ def test_haptotaxis_sweep_configuration():
         ("vtk_every = -2\n", "vtk_every"),
         ("initial = unknown-family\n", "initial"),
         ("domain_min = 1,2,3\n", "domain_min"),
+        # the sweep's mixing depth and the initial data are no longer keys
         ("accel = -1\n", "accel"),
         ("accel = 2.5\n", "accel"),
+        ("accel = 5\n", "unknown key"),
+        ("initial = corner-gaussian\n", "unknown key"),
     ],
 )
 def test_invalid_configs_rejected(text, fragment):
@@ -138,13 +140,12 @@ def test_render_parse_round_trip_defaults():
     steps=st.integers(1, 60),
     dt_exp=st.integers(-3, 1),
     refinements=st.integers(0, 5),
-    accel=st.integers(0, 10),
 )
 @settings(max_examples=40, deadline=None)
-def test_render_parse_round_trip_random(mu, chi, theta, steps, dt_exp, refinements, accel):
+def test_render_parse_round_trip_random(mu, chi, theta, steps, dt_exp, refinements):
     dt = 2.0**dt_exp
     cfg = parse_config(
-        f"mu = {mu!r}\nchi = {chi!r}\ntheta = {theta!r}\naccel = {accel}\n"
+        f"mu = {mu!r}\nchi = {chi!r}\ntheta = {theta!r}\n"
         f"dt = {dt!r}\nt_final = {steps * dt!r}\n"
         f"refinements = {refinements}\nsnapshots = {steps * dt!r}\n"
     )

@@ -14,7 +14,6 @@ from haptosim.model import (
     Parameters,
     SimState,
     corner_gaussian_initial_data,
-    initial_data_family,
     interpolate_initial_state,
     rescale_to_unit_chi_eps,
 )
@@ -37,9 +36,9 @@ UNIT = ((0.0, 1.0), (0.0, 1.0))
         dict(max_fp_iters=0),
         dict(t_final=-2.0),
         dict(alpha=math.inf),
-        dict(accel=-1),
-        dict(accel=2.5),
-        dict(accel=True),
+        dict(tol_lin=0.0),
+        dict(blowup_threshold=-1.0),
+        dict(chi=math.inf),
     ],
 )
 def test_parameter_validation(kwargs):
@@ -54,7 +53,6 @@ def test_parameter_defaults_match_documented_setup():
     )
     assert p.tol_fp == 1e-8
     assert p.max_fp_iters == 100
-    assert p.accel == 5
 
 
 def test_initial_data_at_origin_and_far_field():
@@ -91,12 +89,6 @@ def test_corner_gaussian_nodes_equal_the_per_point_formula(dim):
     assert state.u.coeffs.tobytes() == gauss.tobytes()
     assert state.c.coeffs.tobytes() == np.array([1.0 - 0.5 * g for g in gauss]).tobytes()
     assert state.p.coeffs.tobytes() == np.array([0.5 * g for g in gauss]).tobytes()
-
-
-def test_initial_family_lookup():
-    assert initial_data_family("corner-gaussian").name == "corner-gaussian"
-    with pytest.raises(ParameterError):
-        initial_data_family("no-such-family")
 
 
 def test_interpolate_initial_state_warns_on_negative_data():

@@ -154,7 +154,7 @@ def test_fixed_point_decoupled_linear_regime_converges_second_sweep(unit_mesh):
 def test_fixed_point_logistic_limit_is_relaxation_independent(unit_mesh, unit_ops, beta):
     # theta=1, dt=1, mu=1, u_prev=0.5: the sweep limit solves u^2 = 0.5.
     # (the unrelaxed sweep cycles with period two here, its linearization has slope -1
-    # at the limit; beta = 1 is checked under accel further below)
+    # at the limit; beta = 1 is checked under Anderson mixing further below)
     params = Parameters(chi=0.0, mu=1.0, theta=1.0, dt=1.0, beta=beta)
     state = constant_state(unit_mesh, 0.5, 0.0, 0.0)
     new_state, report = fixed_point_advance(state, params, unit_ops)
@@ -367,14 +367,12 @@ def test_beta_independence_on_small_invasion_problem():
     assert max(du, dc, dp) < 1e-7
 
 
-def test_relaxed_sweep_keeps_its_sweep_counts():
-    # accel = 0 is the relaxed sweep with unchanged arithmetic; on the
-    # published-peaks configuration it takes these sweeps per step to t = 5
-    config = iocfg.parse_config(
-        "mu = 1e-10\nchi = 0.01\nt_final = 5\nsnapshots =\naccel = 0\n"
-    )
+def test_peaks_config_keeps_its_sweep_counts():
+    # on the published-peaks configuration the sweep takes these sweeps per
+    # step to t = 5
+    config = iocfg.parse_config("mu = 1e-10\nchi = 0.01\nt_final = 5\nsnapshots =\n")
     result = run(config)
-    assert [r.fp_iters for r in result.diagnostics[1:]] == [29, 28, 27, 27, 26]
+    assert [r.fp_iters for r in result.diagnostics[1:]] == [7, 8, 6, 6, 6]
 
 
 EQUAL_RATES_TO_5 = "mu = 1\nchi = 1\nt_final = 5\nsnapshots =\n"
@@ -487,42 +485,39 @@ def test_u_blowup_stops_the_sweep_before_the_p_system(unit_mesh, unit_ops, monke
     np.testing.assert_array_equal(new_state.p.coeffs, 0.1)
 
 
-def test_accelerated_and_relaxed_sweeps_commit_the_same_states():
+def test_sweep_commits_the_state_of_a_tighter_tolerance():
+    # stopping at the default tol_fp = 1e-8 commits the states of a run to
+    # tol_fp = 1e-12 within 1e-7
     mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (1, 1), 3)
     from haptosim.model import corner_gaussian_initial_data, interpolate_initial_state
 
     state0 = interpolate_initial_state(corner_gaussian_initial_data(), mesh)
     results = {}
-    for accel in (0, 5):
-        params = Parameters(chi=0.01, mu=0.5, accel=accel, t_final=2.0)
-        results[accel] = simulate(state0.copy(), params)
+    for tol_fp in (1e-8, 1e-12):
+        params = Parameters(chi=0.01, mu=0.5, tol_fp=tol_fp, t_final=2.0)
+        results[tol_fp] = simulate(state0.copy(), params)
     for f in ("u", "c", "p"):
-        a = getattr(results[0].state, f).coeffs
-        b = getattr(results[5].state, f).coeffs
+        a = getattr(results[1e-8].state, f).coeffs
+        b = getattr(results[1e-12].state, f).coeffs
         assert np.max(np.abs(a - b)) < 1e-7
-    sweeps = {a: sum(r.fp_iters for r in res.diagnostics) for a, res in results.items()}
-    assert sweeps[5] < sweeps[0]
 
 
 def test_accel_ring_wraps_and_keeps_the_limit(unit_mesh, unit_ops):
-    # depth 1 holds one difference, so every update after the second
-    # overwrites the ring
-    params = Parameters(chi=0.0, mu=1.0, theta=1.0, dt=1.0, accel=1)
+    # the ring holds ANDERSON_DEPTH differences; from the update after sweep
+    # ANDERSON_DEPTH + 2 on, each mixes a difference written over the oldest
+    params = Parameters(chi=0.0, mu=1.0, theta=1.0, dt=1.0)
     state = constant_state(unit_mesh, 0.5, 0.0, 0.0)
     new_state, report = fixed_point_advance(state, params, unit_ops)
     assert report.converged
-    assert report.iterations > 3
+    assert report.iterations > stepper.ANDERSON_DEPTH + 2
     np.testing.assert_allclose(new_state.u.coeffs, math.sqrt(0.5), atol=1e-7)
 
 
 def test_accel_converges_where_the_unrelaxed_sweep_cycles(unit_mesh, unit_ops):
-    # the slope -1 logistic case: the plain sweep (beta = 1) cycles with
-    # period two, the accelerated one reaches the limit u^2 = 0.5
+    # the slope -1 logistic case: the plain sweep (beta = 1, no mixing)
+    # cycles with period two, the mixed one reaches the limit u^2 = 0.5
     state = constant_state(unit_mesh, 0.5, 0.0, 0.0)
-    plain = Parameters(chi=0.0, mu=1.0, theta=1.0, dt=1.0, beta=1.0, accel=0)
-    with pytest.raises(NonconvergenceError):
-        fixed_point_advance(state, plain, unit_ops)
-    accelerated = Parameters(chi=0.0, mu=1.0, theta=1.0, dt=1.0, beta=1.0, accel=5)
+    accelerated = Parameters(chi=0.0, mu=1.0, theta=1.0, dt=1.0, beta=1.0)
     new_state, report = fixed_point_advance(state, accelerated, unit_ops)
     assert report.converged
     np.testing.assert_allclose(new_state.u.coeffs, math.sqrt(0.5), atol=1e-7)
@@ -530,14 +525,14 @@ def test_accel_converges_where_the_unrelaxed_sweep_cycles(unit_mesh, unit_ops):
 
 def test_accelerated_sweep_failure_paths(unit_mesh, unit_ops):
     # the budget is checked after the first Anderson update (sweep 3)
-    params = Parameters(chi=0.0, mu=1.0, theta=1.0, dt=1.0, max_fp_iters=3, accel=5)
+    params = Parameters(chi=0.0, mu=1.0, theta=1.0, dt=1.0, max_fp_iters=3)
     state = constant_state(unit_mesh, 0.5, 0.0, 0.0)
     with pytest.raises(NonconvergenceError) as err:
         fixed_point_advance(state, params, unit_ops)
     assert len(err.value.residual_history) == 3
     assert err.value.time == 1.0
 
-    params = Parameters(chi=0.0, mu=1.0, theta=0.5, dt=1.0, blowup_threshold=0.3, accel=5)
+    params = Parameters(chi=0.0, mu=1.0, theta=0.5, dt=1.0, blowup_threshold=0.3)
     new_state, report = fixed_point_advance(constant_state(unit_mesh, 0.5, 0.9, 0.1),
                                             params, unit_ops)
     assert not report.converged
@@ -547,7 +542,7 @@ def test_accelerated_sweep_failure_paths(unit_mesh, unit_ops):
     # a non-finite old state is a breakdown that names its field, not a crash
     bad = constant_state(unit_mesh, 0.5, 0.0, 0.0)
     bad.u.coeffs[0] = np.nan
-    params = Parameters(theta=1.0, accel=5)  # no assembly before the sweep
+    params = Parameters(theta=1.0)  # no assembly before the sweep
     new_state, report = fixed_point_advance(bad, params, unit_ops)
     assert report.breakdown is not None and report.breakdown.field == "u"
     assert report.iterations == 1 and new_state.u.breakdown

@@ -63,6 +63,48 @@ def test_oracle_rejects_bad_input():
         ode_oracle(Parameters(mu=5.0, epsilon=0.01, chi=0.0), (-1e150, 1.0, 0.0), 1.0, 4)
 
 
+def _numpy_rk4(params, y0, t_end, substeps):
+    """RK4 on numpy 3-vectors, in the expression order of ode_oracle's
+    Python-float loop, which must give the same bits."""
+
+    def rhs(y):
+        u, c, p = y
+        return np.array([params.mu * u * (1.0 - u), -p * c, (u * c - p) / params.epsilon])
+
+    h = t_end / substeps
+    y = np.asarray(y0, dtype=float)
+    times, states = [0.0], [y]
+    for n in range(substeps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        times.append((n + 1) * h)
+        states.append(y)
+    return np.array(times), np.array(states)
+
+
+@pytest.mark.parametrize(
+    "params,y0,t_end,substeps",
+    [
+        (Parameters(**REACTION), (0.5, 1.0, 0.25), 1.0, 4000),
+        (Parameters(**REACTION), (1.0, 1.0, 0.5), 5.0, 2000),
+        (Parameters(**REACTION), (1.0, 1.0, 0.5), 5.0, 4000),
+        # coarse steps with rates that are not powers of two, where a
+        # reordered sum or product moves the last bit of some state
+        (Parameters(mu=0.7, epsilon=0.3, chi=0.0), (0.3, 1.25, 0.75), 3.0, 30),
+        (Parameters(mu=3.0, epsilon=0.07, chi=0.0), (0.1, 2.0, 3.0), 2.0, 100),
+        (Parameters(mu=2.3, epsilon=0.13, chi=0.0), (0.05, 1.7, 0.9), 4.0, 40),
+    ],
+)
+def test_oracle_is_the_numpy_rk4_bit_for_bit(params, y0, t_end, substeps):
+    traj = ode_oracle(params, y0, t_end, substeps)
+    times, states = _numpy_rk4(params, y0, t_end, substeps)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+
+
 def test_temporal_order_blended_scheme_second_order():
     study = temporal_order_study(0.5, (0.1, 0.05, 0.025, 0.0125))
     assert abs(study.estimated_order - 2.0) <= 0.1

@@ -14,7 +14,7 @@ from .fem import (
     assemble_weighted_mass,
 )
 from .iocfg import RunConfig, parse_config, render_config, write_diagnostics_csv, write_vtk
-from .linsolve import CsrMatrix, SolverFailure, solve
+from .linsolve import DiaMatrix, SolverFailure, solve
 from .mesh import FeField, StructuredMesh, build_structured_mesh, interpolate
 from .model import (
     InitialData,
@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BreakdownReport",
-    "CsrMatrix",
+    "DiaMatrix",
     "FeField",
     "FixedPointReport",
     "InitialData",

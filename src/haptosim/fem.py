@@ -12,8 +12,9 @@ integrated element by element with tensor-product 2-point Gauss quadrature
 on the reference cell [0,1]^dim, exact for its degree (at most 3 per axis)
 on axis-aligned elements.
 
-Every matrix comes out as one global CSR matrix with the plan's pattern, so
-that matrices of one mesh combine by their value arrays.  For the
+Every matrix comes out as the diagonals of one global matrix, with the
+plan's offsets (a :class:`haptosim.linsolve.DiaMatrix`), so that matrices
+of one mesh combine by their value arrays.  For the
 haptotaxis matrix the row index is the test function, the column index the
 trial function.  On a one-element mesh the global form is the element form,
 which is where :func:`haptosim.verify.element_matrix_crosscheck` compares
@@ -28,7 +29,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .linsolve import CsrMatrix, all_finite, csr_product
+from .linsolve import DiaMatrix, all_finite, csr_product
 from .mesh import FeField, StructuredMesh
 
 
@@ -111,35 +112,37 @@ def _axis_nodes(mesh: StructuredMesh) -> list[np.ndarray]:
     return coords
 
 
-# The exact 1D integrals around node a, as multiples of the length and the
-# inverse length of the element left of a (hl, il) and right of it (hr, ir);
+# The exact 1D integrals in column b, as multiples of the length and the
+# inverse length of the element left of b (hl, il) and right of it (hr, ir);
 # the hat functions are linear on each.  Rows: T[o, q] and G[o, q] for the
-# neighbour b = a + o and the coefficient node k = a + q, o and q in
-# {-1, 0, 1} (row-major), then the mass and stiffness bands for b = a + o.
+# test node a = b - o and the coefficient node k = a + q, o and q in
+# {-1, 0, 1} (row-major), then the mass and stiffness bands for a = b - o.
+# With o != 0 the nodes a and b share the one element between them.
 _INTEGRALS = np.array([
     # T = int phi_a phi_b phi_k
-    [1 / 12, 0, 0, 0], [1 / 12, 0, 0, 0], [0, 0, 0, 0],
+    [0, 0, 1 / 12, 0], [0, 0, 1 / 12, 0], [0, 0, 0, 0],
     [1 / 12, 0, 0, 0], [1 / 4, 0, 1 / 4, 0], [0, 0, 1 / 12, 0],
-    [0, 0, 0, 0], [0, 0, 1 / 12, 0], [0, 0, 1 / 12, 0],
+    [0, 0, 0, 0], [1 / 12, 0, 0, 0], [1 / 12, 0, 0, 0],
     # G = int phi'_a phi_b phi'_k
-    [0, -1 / 2, 0, 0], [0, 1 / 2, 0, 0], [0, 0, 0, 0],
+    [0, 0, 0, -1 / 2], [0, 0, 0, 1 / 2], [0, 0, 0, 0],
     [0, -1 / 2, 0, 0], [0, 1 / 2, 0, 1 / 2], [0, 0, 0, -1 / 2],
-    [0, 0, 0, 0], [0, 0, 0, 1 / 2], [0, 0, 0, -1 / 2],
+    [0, 0, 0, 0], [0, 1 / 2, 0, 0], [0, -1 / 2, 0, 0],
     # int phi_a phi_b and int phi'_a phi'_b
-    [1 / 6, 0, 0, 0], [1 / 3, 0, 1 / 3, 0], [0, 0, 1 / 6, 0],
-    [0, -1, 0, 0], [0, 1, 0, 1], [0, 0, 0, -1],
+    [0, 0, 1 / 6, 0], [1 / 3, 0, 1 / 3, 0], [1 / 6, 0, 0, 0],
+    [0, 0, 0, -1], [0, 1, 0, 1], [0, -1, 0, 0],
 ])
 
 
 def _axis_integrals(x: np.ndarray):
     """Exact integrals of the 1D hat functions on the nodes ``x`` of one axis.
 
-    Returns the (2, 3, 3, n) diagonals [T, G][o + 1, q + 1, a] of
-    T = int phi_a phi_{a+o} phi_{a+q} and G = int phi'_a phi_{a+o} phi'_{a+q}
-    (the derivative on the test function a), and the (3, n) bands [o + 1, a]
-    of the 1D mass and stiffness matrices.  An entry is nonzero exactly when
-    its nodes share an element: the ones that reach off the axis, and T and G
-    with |o - q| = 2, are zero.
+    Returns the (2, 3, 3, n) diagonals [T, G][o + 1, q + 1, b] of
+    T = int phi_a phi_b phi_{a+q} and G = int phi'_a phi_b phi'_{a+q} with
+    a = b - o (the derivative on the test function a), and the (3, n) bands
+    [o + 1, b] of the 1D mass and stiffness matrices, all indexed by the
+    column b as :class:`haptosim.linsolve.DiaMatrix` stores them.  An entry
+    is nonzero exactly when its nodes share an element: the ones that reach
+    off the axis, and T and G with |o - q| = 2, are zero.
     """
     n = x.size
     h = x[1:] - x[:-1]
@@ -150,28 +153,42 @@ def _axis_integrals(x: np.ndarray):
     return values[:18].reshape(2, 3, 3, n), values[18:21], values[21:]
 
 
-def _axis_step(blocks, lines: int) -> sp.csr_matrix:
+def _axis_step(blocks, lines: int, targets=None) -> sp.csr_matrix:
     """The sparse matrix that contracts one array axis of a stack of arrays.
 
     Each array is viewed as ``lines`` consecutive lines of n nodes along the
     axis, input row (j, p, a) holding node a of line p of array j.
     ``blocks[i][j]`` is the (3, 3, n) table of :func:`_axis_integrals` that
-    takes array j to array i: output row (i, p, o + 1, a) gets
-    tab[o + 1, q + 1, a] times input row (j, p, a + q).  The zero entries of
-    the tables, among them all that reach off the axis, are not stored.
+    takes array j to array i: output row (i, o + 1, p, b) gets
+    tab[o + 1, q + 1, b] times input row (j, p, b - o + q), so the offset o
+    leads and the column b is last.  ``targets``, if given, renumbers the
+    output lines (i, o + 1, p), and lines that get one number share their
+    rows.  The zero entries of the tables, among them all that reach off the
+    axis, are not stored.
     """
-    tabs = np.array(blocks)  # (i, j, o, q, a)
-    n_out, n_in, _, _, n = tabs.shape
-    shape = (n_out, lines, 3, n, n_in, 3)  # one row per (i, p, o, a)
-    vals = np.broadcast_to(tabs.transpose(0, 2, 4, 1, 3)[:, None], shape)
-    p = np.arange(lines)[:, None, None, None, None]
-    j = np.arange(n_in)[:, None]
-    cols = (j * lines + p) * n + np.arange(n)[:, None, None] + np.arange(-1, 2)
-    keep = vals != 0
-    cols = np.broadcast_to(cols, shape)[keep]
-    indptr = np.zeros(keep[..., 0, 0].size + 1, dtype=cols.dtype)
-    np.cumsum(keep.sum(axis=(-2, -1)).ravel(), out=indptr[1:])
-    return sp.csr_matrix((vals[keep], cols, indptr), shape=(indptr.size - 1, n_in * lines * n))
+    tabs = np.array(blocks).transpose(0, 2, 4, 1, 3)  # (i, o, b, j, q)
+    n_out, _, n, n_in, _ = tabs.shape
+    keep = tabs != 0
+    # the entries of line 0 per (i, o); line p repeats them, its columns
+    # moved by p n
+    cols = (np.arange(n_in)[:, None] * lines * n + np.arange(n)[:, None, None]
+            - np.arange(-1, 2)[:, None, None, None] + np.arange(-1, 2))  # (o, b, j, q)
+    shift = n * np.arange(lines)[:, None]
+    groups = [(i, o) for i in range(n_out) for o in range(3)]
+    vals = np.concatenate([np.tile(tabs[g][keep[g]], lines) for g in groups])
+    cols = np.concatenate([(cols[g[1]][keep[g]] + shift).ravel() for g in groups])
+    counts = np.broadcast_to(keep.sum(axis=(-2, -1))[:, :, None], (n_out, 3, lines, n))
+    n_rows = counts.size
+    if targets is not None:
+        rows = (targets[:, None] * n + np.arange(n)).ravel().repeat(counts.ravel())
+        # a stable sort keeps the entries of each row in their order above
+        order = np.argsort(rows, kind="stable")
+        vals, cols = vals[order], cols[order]
+        n_rows = (targets.max() + 1) * n
+        counts = np.bincount(rows, minlength=n_rows)
+    indptr = np.zeros(n_rows + 1, dtype=cols.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    return sp.csr_matrix((vals, cols, indptr), shape=(n_rows, n_in * lines * n))
 
 
 def _contract(steps, v: np.ndarray) -> np.ndarray:
@@ -185,23 +202,32 @@ def _contract(steps, v: np.ndarray) -> np.ndarray:
 
 
 class AssemblyPlan:
-    """Per-axis integral tables and the CSR pattern of one mesh.
+    """Per-axis integral tables and the diagonal offsets of one mesh.
 
     A Q1 basis function is a product of 1D hat functions, one per axis, and
     so is every integrand of the matrix forms; each form is a sum of
     Kronecker products of 1D integrals, applied axis by axis to the nodal
     coefficients (sum factorization; Orszag, J. Comput. Phys. 37, 1980).  A
     node vector reshapes to the array ``grid`` = (n_z, n_y, n_x) in 3D and
-    (n_y, n_x) in 2D, mesh axis 0 last.  Entry (a, a + o) of a form lands at
-    [o_z + 1, a_z, o_y + 1, a_y, o_x + 1, a_x] of a (3, n_z, 3, n_y, 3, n_x)
-    array, and ``index`` gathers the stored entries from it in CSR order.
-    The pattern couples the nodes that share an element: a with a + o for
-    every o in {-1, 0, 1}^dim that stays on the mesh.
+    (n_y, n_x) in 2D, mesh axis 0 last.  Entry (b - o, b) of a form lands at
+    [o_z + 1, o_y + 1, o_x + 1, b_z, b_y, b_x] of a (3, 3, 3, n_z, n_y, n_x)
+    array: one row of n values per neighbour offset o in {-1, 0, 1}^dim,
+    indexed by the column b.  That row is the diagonal of the composite
+    offset o_z n_y n_x + o_y n_x + o_x, so the array is the ``data`` of a
+    :class:`haptosim.linsolve.DiaMatrix`.  The entries whose row b - o
+    leaves the mesh along an axis are zero.
+
+    When an axis other than the last has one cell, two neighbour offsets
+    give one composite offset, and their rows never hold a nonzero in the
+    same column.  ``offsets`` lists the composite offsets once each, in
+    increasing order, and ``merge`` maps each neighbour offset (in the
+    order above) to its position there.
 
     Each axis step of W(w) and B(c) is a sparse matrix with 7 entries per
     node and 1D table (:func:`_axis_step`), so a form takes work and memory
-    linear in the number of nodes.  The steps are built on a
-    form's first use; the mass and stiffness matrices need none.
+    linear in the number of nodes.  The last step writes the merged
+    diagonals directly.  The steps are built on a form's first use; the
+    mass and stiffness matrices need none.
 
     The product load is integrated element by element with the 2-point
     Gauss rule, exact for its degree.
@@ -215,32 +241,10 @@ class AssemblyPlan:
         # per array axis, z (3D) or y first
         self.tables, self.mass_bands, self.stiff_bands = zip(*map(_axis_integrals, nodes))
 
-        # gather index and CSR pattern, built one array axis at a time
-        column = position = 0
-        valid = True
-        column_stride = position_stride = 1
-        for m in reversed(range(dim)):
-            n = self.grid[m]
-            a, o = np.arange(n)[:, None], np.arange(-1, 2)
-            b = a + o  # (n, 3): the neighbours of each node
-            axes = [1] * (2 * dim)
-            axes[m], axes[dim + m] = n, 3  # broadcast to (a_z.., a_x, o_z.., o_x)
-            column = column + (b * column_stride).reshape(axes)
-            position = position + (((o + 1) * n + a) * position_stride).reshape(axes)
-            valid = valid & ((b >= 0) & (b < n)).reshape(axes)
-            column_stride *= n
-            position_stride *= 3 * n
-        valid = valid.reshape(mesh.n_nodes, -1)
-        self.index = position.reshape(mesh.n_nodes, -1)[valid]
-        self.index.flags.writeable = False
-        # the index dtype scipy picks for this pattern, so that the scipy form
-        # of every assembled matrix shares the arrays
-        dtype = np.int32 if max(self.index.size, mesh.n_nodes) < 2**31 else np.int64
-        self.indices = column.reshape(mesh.n_nodes, -1)[valid].astype(dtype)
-        self.indptr = np.zeros(mesh.n_nodes + 1, dtype=dtype)
-        np.cumsum(valid.sum(axis=1), out=self.indptr[1:])
-        self.indices.flags.writeable = False
-        self.indptr.flags.writeable = False
+        strides = np.cumprod((1,) + self.grid[:0:-1])[::-1]  # (n_y n_x, n_x, 1) in 3D
+        o = np.indices((3,) * dim).reshape(dim, -1).T - 1  # (o_z, o_y, o_x), row-major
+        self.offsets, self.merge = np.unique(o @ strides, return_inverse=True)
+        self.offsets.flags.writeable = False
 
         # product load: 2-point Gauss rule per element
         wq, self.phi = _tables(dim)
@@ -248,16 +252,20 @@ class AssemblyPlan:
         self.volumes = mesh.element_volumes()
 
     def _axes(self):
-        """(T, G, lines) per array axis, in the order the steps contract
-        them: mesh axis 0 (the last array axis) first."""
-        for m in reversed(range(self.mesh.dim)):
+        """(T, G, lines, targets) per array axis, in the order the steps
+        contract them: mesh axis 0 (the last array axis) first.  The offsets
+        of the axes done so far lead the lines, and the last step writes the
+        merged diagonals."""
+        dim = self.mesh.dim
+        for m in reversed(range(dim)):
             t, g = self.tables[m]
-            yield t, g, int(np.prod(self.grid[:m]))
+            lines = 3 ** (dim - 1 - m) * int(np.prod(self.grid[:m]))
+            yield t, g, lines, self.merge if m == 0 else None
 
     @cached_property
     def weighted_mass_steps(self) -> list[sp.csr_matrix]:
         """W(w) = T_z (x) T_y (x) T_x, one axis step each."""
-        return [_axis_step([[t]], lines) for t, _, lines in self._axes()]
+        return [_axis_step([[t]], *rest) for t, _, *rest in self._axes()]
 
     @cached_property
     def haptotaxis_steps(self) -> list[sp.csr_matrix]:
@@ -266,21 +274,40 @@ class AssemblyPlan:
         far and s the sum of the terms with G on one of them, to
         (T t, G t + T s); the first starts from c, the last keeps s."""
         steps = []
-        for m, (t, g, lines) in enumerate(self._axes()):
+        for m, (t, g, *rest) in enumerate(self._axes()):
             if m == 0:
                 blocks = [[t], [g]]
             elif m == self.mesh.dim - 1:
                 blocks = [[g, t]]
             else:
                 blocks = [[t, np.zeros_like(t)], [g, t]]
-            steps.append(_axis_step(blocks, lines))
+            steps.append(_axis_step(blocks, *rest))
         return steps
 
-    def gather(self, layout: np.ndarray) -> CsrMatrix:
-        """The CSR matrix whose entries sit in ``layout``, the
-        (3, n_z, 3, n_y, 3, n_x) array described above."""
-        return CsrMatrix(self.mesh.n_nodes, self.indptr, self.indices,
-                         layout.ravel()[self.index])
+    def matrix(self, values) -> DiaMatrix:
+        """The matrix whose diagonals, one per entry of ``offsets``, are the
+        rows of ``values``."""
+        return DiaMatrix(self.mesh.n_nodes, self.offsets,
+                         values.reshape(self.offsets.size, self.mesh.n_nodes))
+
+    def kronecker_sum(self, terms) -> DiaMatrix:
+        """The sum over ``terms`` of the Kronecker products of their 1D
+        bands, one (3, n) band per array axis, laid out as above."""
+        dim = self.mesh.dim
+
+        def factor(m, band):  # band [o + 1, b] on array axis m
+            shape = [1] * (2 * dim)
+            shape[m], shape[dim + m] = band.shape
+            return band.reshape(shape)
+
+        values = reduce(np.add, [
+            reduce(np.multiply, [factor(m, b) for m, b in enumerate(bands)]) for bands in terms
+        ]).reshape(3**dim, -1)
+        if self.offsets.size < values.shape[0]:  # merge the coinciding diagonals
+            grouped = np.argsort(self.merge, kind="stable")
+            starts = np.searchsorted(self.merge[grouped], np.arange(self.offsets.size))
+            values = np.add.reduceat(values[grouped], starts, axis=0)
+        return self.matrix(values)
 
     def scatter_vector(self, element_entries: np.ndarray) -> np.ndarray:
         return np.bincount(
@@ -290,35 +317,33 @@ class AssemblyPlan:
         )
 
 
-def assemble_mass(mesh: StructuredMesh, plan: AssemblyPlan | None = None) -> CsrMatrix:
+def assemble_mass(mesh: StructuredMesh, plan: AssemblyPlan | None = None) -> DiaMatrix:
     """M = the Kronecker product of the 1D mass matrices."""
     plan = plan or AssemblyPlan(mesh)
-    return plan.gather(reduce(np.multiply.outer, plan.mass_bands))
+    return plan.kronecker_sum([plan.mass_bands])
 
 
-def assemble_stiffness(mesh: StructuredMesh, plan: AssemblyPlan | None = None) -> CsrMatrix:
+def assemble_stiffness(mesh: StructuredMesh, plan: AssemblyPlan | None = None) -> DiaMatrix:
     """K = sum over axes d of K_d (x) the 1D mass matrices of the other axes."""
     plan = plan or AssemblyPlan(mesh)
-    layout = 0.0
-    for d in range(mesh.dim):
-        bands = [s if m == d else b
-                 for m, (b, s) in enumerate(zip(plan.mass_bands, plan.stiff_bands))]
-        layout = layout + reduce(np.multiply.outer, bands)
-    return plan.gather(layout)
+    return plan.kronecker_sum([
+        [s if m == d else b for m, (b, s) in enumerate(zip(plan.mass_bands, plan.stiff_bands))]
+        for d in range(mesh.dim)
+    ])
 
 
-def assemble_weighted_mass(mesh, w, plan: AssemblyPlan | None = None) -> CsrMatrix:
+def assemble_weighted_mass(mesh, w, plan: AssemblyPlan | None = None) -> DiaMatrix:
     """Global matrix of  int w_h phi_i phi_j."""
     plan = plan or AssemblyPlan(mesh)
     wn = _coefficients(w, mesh, "weight field")
-    return plan.gather(_contract(plan.weighted_mass_steps, wn))
+    return plan.matrix(_contract(plan.weighted_mass_steps, wn))
 
 
-def assemble_haptotaxis(mesh, c, plan: AssemblyPlan | None = None) -> CsrMatrix:
+def assemble_haptotaxis(mesh, c, plan: AssemblyPlan | None = None) -> DiaMatrix:
     """Global matrix of  int phi_i (grad c_h . grad phi_j);  row = test index."""
     plan = plan or AssemblyPlan(mesh)
     cn = _coefficients(c, mesh, "matrix-density field")
-    return plan.gather(_contract(plan.haptotaxis_steps, cn))
+    return plan.matrix(_contract(plan.haptotaxis_steps, cn))
 
 
 def assemble_product_load(mesh, a, b, plan: AssemblyPlan | None = None) -> np.ndarray:
@@ -344,7 +369,7 @@ def mass_inverse(mesh: StructuredMesh):
     inverses = []
     for x in _axis_nodes(mesh):
         band = _axis_integrals(x)[1]
-        m1 = np.diag(band[1]) + np.diag(band[2, :-1], 1) + np.diag(band[0, 1:], -1)
+        m1 = np.diag(band[1]) + np.diag(band[2, 1:], 1) + np.diag(band[0, :-1], -1)
         inverses.append(np.linalg.inv(m1))
     shape = tuple(m.shape[0] for m in reversed(inverses))  # mesh axis d is array axis dim-1-d
     first_t = np.ascontiguousarray(inverses[0].T)

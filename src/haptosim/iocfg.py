@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import model
+from .fem import _axis_nodes
 from .mesh import StructuredMesh, build_structured_mesh
 from .model import InitialData, Parameters, SimState
 
@@ -252,15 +253,20 @@ def write_vtk(state: SimState, path) -> None:
 
     n_nodes, n_cells = mesh.n_nodes, mesh.n_elements
     npe = mesh.nodes_per_element
-    points = np.zeros((n_nodes, 3))  # z padded with 0.0 in 2D
-    points[:, :mesh.dim] = mesh.node_coords
+    # each node's coordinates are those of its axes, so each axis coordinate
+    # is printed once; rows join them with the first axis fastest, and z is
+    # 0.0 in 2D
+    axes = [list(map(repr, x.tolist())) for x in _axis_nodes(mesh)] + [["0.0"]]
+    points = axes[0]
+    for axis in axes[1:3]:
+        points = [f"{row} {a}" for a in axis for row in points]
     sections = [
         "# vtk DataFile Version 3.0",
         title,
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n_nodes} double",
-        _format_rows("%r %r %r", points),
+        "\n".join(points),
         f"CELLS {n_cells} {n_cells * (npe + 1)}",
         _format_rows(f"{npe}" + " %d" * npe, mesh.elements),
         f"CELL_TYPES {n_cells}",

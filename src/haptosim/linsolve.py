@@ -1,9 +1,9 @@
-"""Sparse CSR storage and the linear-solve contract for the implicit steps.
+"""Sparse diagonal storage and the linear-solve contract for the implicit steps.
 
 The module holds what the time stepper calls and nothing else: the
-:class:`CsrMatrix` that :mod:`haptosim.fem` assembles, :func:`combine` for
-linear combinations of matrices that share one pattern, :func:`csr_product`
-for their products and :func:`solve`.
+:class:`DiaMatrix` that :mod:`haptosim.fem` assembles, :func:`combine` for
+linear combinations of matrices that share one offsets array,
+:func:`csr_product` for the axis steps of the assembly and :func:`solve`.
 
 ``solve`` guarantees a relative residual  ||Ax - b|| / max(||b||, eps)  below
 ``tol_lin`` or raises :class:`SolverFailure`.  The mechanisms behind the
@@ -35,19 +35,18 @@ contract, in the order they are tried:
 * sparse LU (``splu``), only when both Krylov attempts miss the contract.
 
 Every path ends in the same explicit residual check.  Its product A x, and
-every other product with a :class:`CsrMatrix` or with the axis steps of
-:mod:`haptosim.fem`, is :func:`csr_product`: a direct call of the compiled
-kernels behind scipy's ``@`` (``csr_matvec`` and ``csr_matvecs`` of the
-private ``scipy.sparse._sparsetools``), with the same bits and without
-scipy's dispatch.  A scipy matrix is built only where a scipy solver takes
-one: BiCGSTAB or CG, their Jacobi diagonal and the sparse-LU fallback.
+every other product with a :class:`DiaMatrix`, inside the Krylov solvers
+too, is ``dia_matvec`` of the private ``scipy.sparse._sparsetools``, the
+compiled kernel behind scipy's ``dia_matrix @``, called directly.  The axis
+steps of :mod:`haptosim.fem` go through :func:`csr_product`, which calls
+``csr_matvec`` and ``csr_matvecs`` the same way.  A scipy matrix is built
+only for the sparse-LU fallback.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,40 +80,36 @@ class SolverFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CsrMatrix:
-    """Square sparse matrix in compressed-sparse-row form.
+class DiaMatrix:
+    """Square sparse matrix stored by its diagonals, as scipy's DIA format.
 
-    Column indices are strictly increasing within each row and carry no
-    duplicates; all stored values are finite float64.
+    ``data`` is (len(offsets), n) and indexed by column:
+    data[k, j] = A[j - offsets[k], j]; the slots whose row falls off the
+    matrix are never read.  The offsets are unique and increasing, so each
+    row of a product sums its entries in increasing column order, as a CSR
+    product does, and a slot holding a zero adds an exact zero.
     """
 
     n: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    offsets: np.ndarray
     data: np.ndarray
 
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-    def to_scipy(self) -> sp.csr_matrix:
-        """The scipy form, built on first use and then shared (the matrix is
-        immutable).  Products do not need it; scipy's Krylov solvers and
-        sparse LU do."""
-        return self._scipy
-
-    @cached_property
-    def _scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=(self.n, self.n)
-        )
-
     def matvec(self, x) -> np.ndarray:
-        """Sparse matrix-vector product."""
-        x = np.asarray(x, dtype=float)
+        """A x, by the compiled kernel behind scipy's ``dia_matrix @``.  The
+        kernel checks no lengths or types, so this does."""
+        data = self.data
+        if data.dtype != np.float64:
+            raise TypeError(f"matrix values are {data.dtype}, not float64")
+        if data.shape != (self.offsets.size, self.n):
+            raise ValueError(f"{data.shape} diagonals for {self.offsets.size} offsets "
+                             f"of a {self.n}x{self.n} matrix")
+        x = np.ascontiguousarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"vector has shape {x.shape}, matrix is {self.n}x{self.n}")
-        return csr_product(self.indptr, self.indices, self.data, self.n, x)
+        y = np.zeros(self.n)
+        _sparsetools.dia_matvec(self.n, self.n, self.offsets.size, self.n,
+                                self.offsets, data, x, y)
+        return y
 
 
 def csr_product(indptr, indices, data, n_cols, x) -> np.ndarray:
@@ -142,11 +137,10 @@ def csr_product(indptr, indices, data, n_cols, x) -> np.ndarray:
     return y
 
 
-def combine(terms) -> CsrMatrix:
-    """Linear combination  sum_k  coeff_k * A_k  of same-pattern matrices.
-
-    All matrices must share one sparsity pattern (as produced by a single
-    :class:`haptosim.fem.AssemblyPlan`); only the value arrays are combined.
+def combine(terms) -> DiaMatrix:
+    """Linear combination  sum_k  coeff_k * A_k  of matrices with one offsets
+    array (as produced by a single :class:`haptosim.fem.AssemblyPlan`); only
+    the value arrays are combined.
     """
     terms = list(terms)
     if not terms:
@@ -154,17 +148,13 @@ def combine(terms) -> CsrMatrix:
     coeff, first = terms[0]
     data = coeff * first.data
     for coeff, mat in terms[1:]:
-        if mat.n != first.n or mat.indptr is not first.indptr and not np.array_equal(
-            mat.indptr, first.indptr
+        if mat.n != first.n or mat.offsets is not first.offsets and not np.array_equal(
+            mat.offsets, first.offsets
         ):
-            raise ValueError("matrices do not share a sparsity pattern")
-        if mat.indices is not first.indices and not np.array_equal(
-            mat.indices, first.indices
-        ):
-            raise ValueError("matrices do not share a sparsity pattern")
+            raise ValueError("matrices do not share their offsets")
         if coeff != 0.0:
             data += coeff * mat.data
-    return CsrMatrix(first.n, first.indptr, first.indices, data)
+    return DiaMatrix(first.n, first.offsets, data)
 
 
 def all_finite(v) -> bool:
@@ -186,44 +176,39 @@ def _relative_residual(ax, b, bnorm) -> float:
 
 
 class BandLU:
-    """Banded LU of the matrices of one CSR pattern, kept across solves.
+    """Banded LU of the matrices of one offsets array, kept across solves.
 
-    The holder works out the band layout of the pattern once: the half-widths
-    kl and ku and the position of each stored entry in LAPACK's band array.
-    It keeps the ``dgbtrf`` factors of the last matrix it factored.
-    :func:`solve` refines a warm start with these factors when the new matrix
-    is close to that one, and factors the new matrix when it is not.  A
-    matrix with other index arrays drops the layout and the factors.
+    The holder works out the band layout of the offsets once: the
+    half-widths kl and ku and the row of LAPACK's band array that takes each
+    diagonal.  It keeps the ``dgbtrf`` factors of the last matrix it
+    factored.  :func:`solve` refines a warm start with these factors when the
+    new matrix is close to that one, and factors the new matrix when it is
+    not.  A matrix with other offsets drops the layout and the factors.
     ``factorizations`` counts the ``dgbtrf`` calls.
     """
 
     def __init__(self):
         self.factorizations = 0
-        self._pattern = None  # (indptr, indices) of the layout
+        self._offsets = None  # the offsets of the layout
         self._factors = None  # (lu, ipiv) of the last matrix factored
 
-    def _bind(self, a: CsrMatrix) -> None:
-        # a pattern is its pair of index arrays, which all matrices of one
-        # AssemblyPlan, and their combinations, share
-        held = self._pattern
-        if held is not None and held[0] is a.indptr and held[1] is a.indices:
+    def _bind(self, a: DiaMatrix) -> None:
+        # all matrices of one AssemblyPlan, and their combinations, share
+        # one offsets array
+        if self._offsets is a.offsets:
             return
-        # array methods and slicing, not np.diff and np.repeat: on the tiny
-        # systems of single-element meshes their Python-level checks cost
-        # more than the solve
-        rows = np.arange(a.n).repeat(a.indptr[1:] - a.indptr[:-1])
-        offsets = rows - a.indices
-        self.kl = int(offsets.max(initial=0))
-        self.ku = int(-offsets.min(initial=0))
-        # LAPACK band storage: A[i, j] at ab[kl + ku + i - j, j]; the first
-        # kl rows are room for the fill-in of the pivoting.  ``scatter`` is
-        # that position in the column-major array
+        self.kl = int(-a.offsets.min(initial=0))
+        self.ku = int(a.offsets.max(initial=0))
+        # LAPACK band storage: A[i, j] at ab[kl + ku + i - j, j], so the
+        # diagonal of offset j - i fills row kl + ku - offset, indexed by
+        # column as ``data`` is; the first kl rows are room for the fill-in
+        # of the pivoting
         self.ldab = 2 * self.kl + self.ku + 1
-        self.scatter = self.kl + self.ku + offsets + self.ldab * a.indices
-        self._pattern = (a.indptr, a.indices)
+        self.rows = self.kl + self.ku - a.offsets
+        self._offsets = a.offsets
         self._factors = None
 
-    def solve(self, a: CsrMatrix, b, bnorm, tol_lin, x0=None):
+    def solve(self, a: DiaMatrix, b, bnorm, tol_lin, x0=None):
         """x and A x.  From held factors and a warm start ``x0``, refinement
         steps x += LU^-1 (b - A x) run while each shrinks the residual by
         REFINE_STALL, to tol_lin; otherwise A is factored and kept."""
@@ -232,11 +217,9 @@ class BandLU:
             refined = self._refine(a, b, bnorm, tol_lin, x0)
             if refined is not None:
                 return refined
-        ab = np.zeros(self.ldab * a.n)
-        ab[self.scatter] = a.data
-        lu, ipiv, info = lapack.dgbtrf(
-            ab.reshape(a.n, self.ldab).T, self.kl, self.ku, overwrite_ab=1
-        )
+        ab = np.zeros((a.n, self.ldab))
+        ab[:, self.rows] = a.data.T
+        lu, ipiv, info = lapack.dgbtrf(ab.T, self.kl, self.ku, overwrite_ab=1)
         self.factorizations += 1
         if info > 0:
             self._factors = None
@@ -263,16 +246,18 @@ class BandLU:
             x += lapack.dgbtrs(lu, self.kl, self.ku, r, ipiv)[0]
 
 
-def _solve_krylov(a_scipy, b, tol_lin, x0=None, spd=False, precond=None):
+def _solve_krylov(a: DiaMatrix, b, tol_lin, x0=None, spd=False, precond=None):
     if precond is None:  # Jacobi
-        diag = a_scipy.diagonal()
-        if np.any(diag == 0.0):
+        main = a.data[a.offsets == 0]
+        if main.size == 0 or np.any(main == 0.0):
             return None
-        precond = lambda v, d=1.0 / diag: d * v
+        precond = lambda v, d=1.0 / main[0]: d * v
     krylov = spla.cg if spd else spla.bicgstab
+    # with their dtype given, scipy makes no probe product to find it
     x, info = krylov(
-        a_scipy, b, x0=x0, rtol=max(tol_lin * 0.2, 1e-14), atol=0.0,
-        maxiter=400, M=spla.LinearOperator(a_scipy.shape, matvec=precond),
+        spla.LinearOperator((a.n, a.n), matvec=a.matvec, dtype=float), b, x0=x0,
+        rtol=max(tol_lin * 0.2, 1e-14), atol=0.0, maxiter=400,
+        M=spla.LinearOperator((a.n, a.n), matvec=precond, dtype=float),
     )
     if info < 0 or not all_finite(x):
         return None
@@ -280,7 +265,7 @@ def _solve_krylov(a_scipy, b, tol_lin, x0=None, spd=False, precond=None):
 
 
 def solve(
-    a: CsrMatrix, b, tol_lin=1e-12, x0=None, spd=False, inverse=None, precond=None,
+    a: DiaMatrix, b, tol_lin=1e-12, x0=None, spd=False, inverse=None, precond=None,
     band: BandLU | None = None,
 ) -> np.ndarray:
     """Solve A x = b to relative residual <= tol_lin.
@@ -300,7 +285,7 @@ def solve(
     b = np.ascontiguousarray(b, dtype=float)  # so that _norm(b) is np.linalg.norm(b)
     if b.shape != (a.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, matrix is {a.n}x{a.n}")
-    if not all_finite(a.data):
+    if not all_finite(a.data.ravel()):
         raise ValueError("matrix contains non-finite entries")
     bnorm = _norm(b)
     # a finite norm proves b finite; an infinite one may be an overflow
@@ -318,13 +303,13 @@ def solve(
         band = band if band is not None else BandLU()
         x, ax = band.solve(a, b, bnorm, tol_lin, x0)
     else:
-        a_op = a.to_scipy()
         for tol in (tol_lin, tol_lin * 1e-2):  # one tighter retry before LU
-            x = _solve_krylov(a_op, b, tol, x0=x0, spd=spd, precond=precond)
+            x = _solve_krylov(a, b, tol, x0=x0, spd=spd, precond=precond)
             if x is not None and _relative_residual(a.matvec(x), b, bnorm) <= tol_lin:
                 return x
+        csc = sp.dia_matrix((a.data, a.offsets), shape=(a.n, a.n)).tocsc()
         try:
-            lu = spla.splu(a_op.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # exactly singular
             raise SolverFailure(f"sparse LU factorization failed: {exc}", np.inf)
         x = lu.solve(b)

@@ -44,7 +44,7 @@ from scipy.linalg import lapack
 
 from . import fem, linsolve
 from .iocfg import RunConfig
-from .linsolve import CsrMatrix
+from .linsolve import DiaMatrix
 from .mesh import FeField, StructuredMesh
 from .model import Parameters, SimState, interpolate_initial_state
 
@@ -139,7 +139,9 @@ class RunResult:
 class Operators:
     """Mesh-bound discrete operators shared by all steps of a run.
 
-    It also holds the band factors of the u and c systems, so a run given
+    Every matrix it holds or assembles is a :class:`DiaMatrix` with the
+    offsets of its :class:`haptosim.fem.AssemblyPlan`, so the sweep's
+    systems combine them by their diagonals.  It also holds the band factors of the u and c systems, so a run given
     the Operators of an earlier run starts from the factors that run left;
     its solves still meet tol_lin.
     """
@@ -161,13 +163,13 @@ class Operators:
         """b -> M^-1 b, built on first use rather than with the operators."""
         return fem.mass_inverse(self.mesh)
 
-    def scaled_mass(self, factor) -> CsrMatrix:
+    def scaled_mass(self, factor) -> DiaMatrix:
         """factor * M, held for the last factor asked for, so that the
         constant protease matrix is built once per run, not once per sweep."""
         if self._scaled_mass is None or self._scaled_mass[0] != factor:
             m = self.mass
             self._scaled_mass = (
-                factor, CsrMatrix(m.n, m.indptr, m.indices, factor * m.data)
+                factor, DiaMatrix(m.n, m.offsets, factor * m.data)
             )
         return self._scaled_mass[1]
 
@@ -175,17 +177,17 @@ class Operators:
         """The banded LU factorizations of the u and c systems so far."""
         return self.u_band.factorizations, self.c_band.factorizations
 
-    def weighted_mass(self, w) -> CsrMatrix:
+    def weighted_mass(self, w) -> DiaMatrix:
         return fem.assemble_weighted_mass(self.mesh, w, self.plan)
 
-    def haptotaxis(self, c) -> CsrMatrix:
+    def haptotaxis(self, c) -> DiaMatrix:
         return fem.assemble_haptotaxis(self.mesh, c, self.plan)
 
     def product_load(self, a, b) -> np.ndarray:
         return fem.assemble_product_load(self.mesh, a, b, self.plan)
 
 
-def _u_system_matrix(ops, params, u_coeffs, c_coeffs, dt_factor) -> CsrMatrix:
+def _u_system_matrix(ops, params, u_coeffs, c_coeffs, dt_factor) -> DiaMatrix:
     """M +- dtf * ((1/alpha) K - chi B(c) - mu (M - W(u))) with dtf = theta*dt
     on the implicit side and -(1-theta)*dt on the explicit side.
 
@@ -203,7 +205,7 @@ def _u_system_matrix(ops, params, u_coeffs, c_coeffs, dt_factor) -> CsrMatrix:
     return linsolve.combine(terms)
 
 
-def _c_system_matrix(ops, params, p_coeffs, dt_factor) -> CsrMatrix:
+def _c_system_matrix(ops, params, p_coeffs, dt_factor) -> DiaMatrix:
     """M + dtf W(p) = W(1 + dtf p), as in :func:`_u_system_matrix`."""
     if dt_factor == 0.0:
         return ops.mass

@@ -339,7 +339,8 @@ def element_form(assemble, sizes, *coefficients) -> np.ndarray:
     form = assemble(mesh, *nodal)
     if isinstance(form, np.ndarray):
         return form[local]
-    return form.to_scipy().toarray()[np.ix_(local, local)]
+    columns = [form.matvec(e) for e in np.eye(mesh.n_nodes)]  # exact: A e_j
+    return np.column_stack(columns)[np.ix_(local, local)]
 
 
 def element_matrix_crosscheck(n_random=50, seed=20260809) -> CrosscheckReport:

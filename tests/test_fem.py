@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,11 @@ from haptosim.fem import (
 )
 from haptosim.mesh import MeshError, build_structured_mesh, interpolate
 from haptosim.verify import element_form, oracle_form
+
+
+def dense(a) -> np.ndarray:
+    """The dense form of a DiaMatrix, by scipy's DIA conversion."""
+    return sp.dia_matrix((a.data, a.offsets), shape=(a.n, a.n)).toarray()
 
 # symbolic reference values on the unit square, canonical ordering
 MASS_UNIT = np.array(
@@ -218,13 +224,17 @@ def _brute_force_scatter(mesh, element_matrices):
 
 
 # The brute-force meshes: the second and third have unequal extents and cell
-# counts per axis, so that a mix-up of axes, of offsets or of the gather into
-# CSR order shows; a single element cannot.
+# counts per axis, so that a mix-up of axes, of offsets or of the diagonals
+# they land in shows; a single element cannot.  The last two have one cell
+# along an axis other than the last, so two neighbour offsets share one
+# diagonal.
 BRUTE_FORCE_MESHES = [
     (2, ((0.0, 1.0), (0.0, 1.0)), (2, 2)),
     (2, ((0.0, 2.0), (0.0, 3.0)), (2, 2)),
     (2, ((0.0, 2.0), (-1.0, 0.5)), (6, 4)),
     (3, ((0.0, 1.0), (-1.0, 1.5), (2.0, 6.0)), (3, 4, 5)),
+    (2, ((0.0, 0.5), (0.0, 3.0)), (1, 3)),
+    (3, ((0.0, 1.0), (-1.0, 1.5), (2.0, 6.0)), (2, 1, 3)),
 ]
 
 
@@ -252,8 +262,8 @@ def test_assembled_mass_matches_brute_force_scatter():
     for dim, extents, cells in BRUTE_FORCE_MESHES:
         mesh = build_structured_mesh(dim, extents, cells, 0)
         for name, form in (("mass", assemble_mass), ("stiffness", assemble_stiffness)):
-            dense = form(mesh).to_scipy().toarray()
-            assert np.max(np.abs(dense - _brute_force_form(mesh, name))) < 1e-14, (cells, name)
+            matrix = dense(form(mesh))
+            assert np.max(np.abs(matrix - _brute_force_form(mesh, name))) < 1e-14, (cells, name)
 
 
 @given(seed=st.integers(0, 2**31))
@@ -265,8 +275,8 @@ def test_assembled_coefficient_forms_match_brute_force(seed):
         plan = AssemblyPlan(mesh)
         c = rng.uniform(-1, 1, mesh.n_nodes)
         w = rng.uniform(-1, 1, mesh.n_nodes)
-        b = assemble_haptotaxis(mesh, c, plan).to_scipy().toarray()
-        wm = assemble_weighted_mass(mesh, w, plan).to_scipy().toarray()
+        b = dense(assemble_haptotaxis(mesh, c, plan))
+        wm = dense(assemble_weighted_mass(mesh, w, plan))
         assert np.max(np.abs(b - _brute_force_form(mesh, "haptotaxis", c))) < 1e-14, cells
         assert np.max(np.abs(wm - _brute_force_form(mesh, "weighted_mass", w))) < 1e-14, cells
 
@@ -288,7 +298,7 @@ def test_assembled_load_matches_brute_force():
 
 def test_sparsity_pattern_is_element_adjacency():
     mesh = build_structured_mesh(2, ((0.0, 1.0), (0.0, 1.0)), (2, 2), 0)
-    m = assemble_mass(mesh).to_scipy()
+    m = dense(assemble_mass(mesh))
     adjacent = set()
     for elem in mesh.elements:
         for j in elem:
@@ -296,6 +306,27 @@ def test_sparsity_pattern_is_element_adjacency():
                 adjacent.add((int(j), int(i)))
     stored = set(zip(*m.nonzero()))
     assert stored == adjacent
+
+
+@pytest.mark.parametrize(
+    "cells", [(1, 1), (1, 3), (3, 1), (1, 1, 1), (2, 1, 3), (299, 1, 1), (3, 4, 5)],
+)
+def test_plan_merges_coinciding_offsets_once(cells):
+    # one cell along an axis other than the last gives two neighbour offsets
+    # one composite offset; the plan lists each once, in increasing order,
+    # and every form's diagonals hold exactly the entries of its matrix
+    dim = len(cells)
+    mesh = build_structured_mesh(dim, tuple((0.0, float(n)) for n in cells), cells, 0)
+    plan = AssemblyPlan(mesh)
+    assert np.all(np.diff(plan.offsets) > 0)
+    assert plan.merge.size == 3**dim
+    w = np.random.default_rng(16).uniform(0.5, 1.5, mesh.n_nodes)
+    for form in (assemble_mass(mesh, plan), assemble_stiffness(mesh, plan),
+                 assemble_weighted_mass(mesh, w, plan), assemble_haptotaxis(mesh, w, plan)):
+        assert form.offsets is plan.offsets
+        assert form.data.shape == (plan.offsets.size, mesh.n_nodes)
+        columns = np.column_stack([form.matvec(e) for e in np.eye(mesh.n_nodes)])
+        assert np.array_equal(columns, dense(form))
 
 
 def test_assembly_is_bitwise_deterministic():
@@ -323,7 +354,8 @@ def test_assembly_memory_is_linear_in_the_nodes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(f.nnz == forms[0].nnz for f in forms)
+    assert all(f.offsets is plan.offsets and f.data.shape == forms[0].data.shape
+               for f in forms)
     assert peak <= 2000 * mesh.n_nodes
 
 
@@ -345,7 +377,7 @@ def test_weighted_mass_symmetry_assembled():
     ):
         mesh = build_structured_mesh(dim, extents, cells, refinements)
         w = rng.uniform(-1, 1, mesh.n_nodes)
-        mat = assemble_weighted_mass(mesh, w).to_scipy().toarray()
+        mat = dense(assemble_weighted_mass(mesh, w))
         assert np.max(np.abs(mat - mat.T)) < 1e-15, cells
 
 
@@ -360,19 +392,20 @@ def test_weighted_mass_symmetry_assembled():
 )
 def test_mass_inverse_inverts_assembled_mass(dim, extents, cells, refinements):
     mesh = build_structured_mesh(dim, extents, cells, refinements)
-    m = assemble_mass(mesh).to_scipy()
+    m = assemble_mass(mesh)
     apply = mass_inverse(mesh)
     rng = np.random.default_rng(7)
-    for b in (rng.standard_normal(mesh.n_nodes), m @ rng.uniform(0.0, 1.0, mesh.n_nodes)):
+    for b in (rng.standard_normal(mesh.n_nodes), m.matvec(rng.uniform(0.0, 1.0, mesh.n_nodes))):
         x = apply(b)
         assert x.shape == b.shape
-        assert np.linalg.norm(m @ x - b) / np.linalg.norm(b) <= 1e-14
+        assert np.linalg.norm(m.matvec(x) - b) / np.linalg.norm(b) <= 1e-14
 
 
 KERNEL_MESHES = {
     "2d-one-element": (2, ((0.0, 1.0), (0.0, 1.0)), (1, 1), 0),
     "2d-32x32": (2, ((0.0, 20.0), (0.0, 20.0)), (1, 1), 5),
     "3d-3x2x4": (3, ((0.0, 1.0), (-1.0, 1.5), (2.0, 6.0)), (3, 2, 4), 0),
+    "3d-2x1x3": (3, ((0.0, 1.0), (-1.0, 1.5), (2.0, 6.0)), (2, 1, 3), 0),
 }
 
 

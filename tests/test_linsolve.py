@@ -13,17 +13,30 @@ from haptosim.fem import (
     AssemblyPlan, assemble_haptotaxis, assemble_mass, assemble_stiffness,
     assemble_weighted_mass, mass_inverse,
 )
-from haptosim.linsolve import BandLU, CsrMatrix, SolverFailure, combine, solve
+from haptosim.linsolve import BandLU, DiaMatrix, SolverFailure, combine, solve
 from haptosim.mesh import build_structured_mesh
 
 
-def csr(a) -> CsrMatrix:
-    m = sp.csr_matrix(np.asarray(a, dtype=float))
-    return CsrMatrix(m.shape[0], m.indptr, m.indices, m.data)
+def dia(a) -> DiaMatrix:
+    """The DiaMatrix of a dense matrix: one diagonal per offset that holds a
+    nonzero, in increasing order, indexed by column."""
+    full = np.asarray(a, dtype=float)
+    n = full.shape[0]
+    rows, cols = np.nonzero(full)
+    offsets = np.unique(cols - rows)
+    data = np.zeros((offsets.size, n))
+    for k, offset in enumerate(offsets):
+        j = np.arange(max(offset, 0), min(n + offset, n))
+        data[k, j] = full[j - offset, j]
+    return DiaMatrix(n, offsets, data)
 
 
-def dense(a: CsrMatrix) -> np.ndarray:
-    return a.to_scipy().toarray()
+def scipy_form(a: DiaMatrix) -> sp.dia_matrix:
+    return sp.dia_matrix((a.data, a.offsets), shape=(a.n, a.n))
+
+
+def dense(a: DiaMatrix) -> np.ndarray:
+    return scipy_form(a).toarray()
 
 
 def relative_residual(a, x, b) -> float:
@@ -40,13 +53,13 @@ def take_path(monkeypatch, method):
 
 
 def test_solve_identity():
-    a = csr(np.eye(4))
+    a = dia(np.eye(4))
     b = np.array([3.0, -1.0, 0.5, 2.0])
     np.testing.assert_array_equal(solve(a, b), b)
 
 
 def test_solve_hand_eliminated_2x2():
-    a = csr([[2.0, 1.0], [1.0, 2.0]])
+    a = dia([[2.0, 1.0], [1.0, 2.0]])
     x = solve(a, np.array([3.0, 3.0]))
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
 
@@ -71,12 +84,12 @@ def test_solve_contract_on_both_paths(method, monkeypatch):
 
 
 def test_solve_zero_rhs():
-    a = csr([[2.0, 1.0], [1.0, 2.0]])
+    a = dia([[2.0, 1.0], [1.0, 2.0]])
     np.testing.assert_array_equal(solve(a, np.zeros(2)), np.zeros(2))
 
 
 def test_singular_matrix_raises_with_residual():
-    a = csr([[1.0, 1.0], [1.0, 1.0]])
+    a = dia([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SolverFailure) as err:
         solve(a, np.array([1.0, 0.0]))
     assert hasattr(err.value, "residual")
@@ -107,7 +120,7 @@ def test_band_solve_matches_dense_oracle(data):
     full = np.where((i - j <= kl) & (j - i <= ku), rng.uniform(-1.0, 1.0, (n, n)), 0.0)
     full[(i - j == kl) | (j - i == ku)] += 2.0  # the outer diagonals are stored
     np.fill_diagonal(full, np.abs(full).sum(axis=1) + 1.0)
-    a = csr(full)
+    a = dia(full)
     b = rng.standard_normal(n)
     x = solve(a, b, tol_lin=1e-12)
     assert relative_residual(a, x, b) <= 1e-12
@@ -115,8 +128,11 @@ def test_band_solve_matches_dense_oracle(data):
     assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
-def _u_system_2d():
-    mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (32, 32), 0)
+def _u_system(cells, lengths=None):
+    """The u system M + 0.5 K - 0.5 B(c) on a box of the given cell counts,
+    with edge ``lengths`` (default: unit cells)."""
+    lengths = lengths or cells
+    mesh = build_structured_mesh(len(cells), [(0.0, float(n)) for n in lengths], cells, 0)
     plan = AssemblyPlan(mesh)
     c = 1.0 - 0.5 * np.exp(-np.sum(mesh.node_coords**2, axis=1) / 25.0)
     return combine([
@@ -124,6 +140,10 @@ def _u_system_2d():
         (0.5, assemble_stiffness(mesh, plan)),
         (-0.5, assemble_haptotaxis(mesh, c, plan)),
     ])
+
+
+def _u_system_2d():
+    return _u_system((32, 32), (20.0, 20.0))
 
 
 def _mass_stiffness_3d():
@@ -161,7 +181,7 @@ def test_auto_path_solves_mesh_systems_without_splu(monkeypatch, system):
     # requires the peaks2d workload, a 32^2 run, to make no Krylov solve
     a = system()
     b = np.random.default_rng(5).standard_normal(a.n)
-    ref = spla.splu(a.to_scipy().tocsc()).solve(b)
+    ref = spla.splu(scipy_form(a).tocsc()).solve(b)
     bands = spy_on_band(monkeypatch)
     forbid(monkeypatch, linsolve.spla, "splu")
     x = solve(a, b)
@@ -206,6 +226,21 @@ def test_wide_bands_take_krylov_above_the_limit(monkeypatch, cells):
     assert relative_residual(a, x, b) <= 1e-12
 
 
+def test_krylov_solves_a_mesh_with_coinciding_offsets(monkeypatch):
+    # one cell along the first axis merges two pairs of diagonals; at
+    # 1 x 600 cells (1,202 unknowns) the system takes Krylov, which meets
+    # tol_lin without the sparse-LU fallback
+    a = _u_system((1, 600))
+    assert a.n == 1202 > linsolve.DIRECT_LIMIT
+    b = np.random.default_rng(15).standard_normal(a.n)
+    forbid(monkeypatch, linsolve.spla, "splu")
+    forbid(monkeypatch, linsolve.lapack, "dgbtrf")
+    x = solve(a, b)
+    assert relative_residual(a, x, b) <= 1e-12
+    oracle = np.linalg.solve(dense(a), b)
+    assert np.max(np.abs(x - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+
 def _u_systems_2d(weights):
     """32^2 u systems W(w) + 0.5 K - 0.5 B(c) on one plan, one per weight w."""
     mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (32, 32), 0)
@@ -222,10 +257,15 @@ def _u_systems_2d(weights):
     ]
 
 
+class NoScipySparse:
+    def __getattr__(self, name):
+        raise AssertionError(f"this solve should not build a scipy matrix ({name})")
+
+
 def test_band_path_builds_no_scipy_form(monkeypatch):
-    m, b = _mass_system(16)  # 289 unknowns: banded LU, residual from the CSR arrays
+    m, b = _mass_system(16)  # 289 unknowns: banded LU, residual from the diagonals
+    monkeypatch.setattr(linsolve, "sp", NoScipySparse())
     x = solve(m, b)
-    assert "_scipy" not in vars(m)
     assert relative_residual(m, x, b) <= 1e-12
     # nor does a refined band solve, a p-style solve through an exact inverse
     # or a product
@@ -240,8 +280,6 @@ def test_band_path_builds_no_scipy_form(monkeypatch):
     z = solve(mass, b, inverse=mass_inverse(mesh))
     assert len(factored) == 1  # the inverse met the contract
     mass.matvec(z)
-    for matrix in (a, nearby, mass):
-        assert "_scipy" not in vars(matrix)
     assert relative_residual(nearby, y, b) <= 1e-12
     assert relative_residual(mass, z, b) <= 1e-12
 
@@ -281,19 +319,32 @@ def test_held_factors_of_a_far_matrix_are_replaced(monkeypatch):
     assert len(substitutions) == 2
 
 
+# one cell along an axis other than the last: two neighbour offsets share a
+# diagonal, which the plan merges
+COINCIDING = {
+    "one-element-3d": (1, 1, 1),
+    "1x3": (1, 3),
+    "299x1x1": (linsolve.DIRECT_LIMIT // 4 - 1, 1, 1),
+}
+
+
 @pytest.mark.parametrize(
-    "system", [_u_system_2d, _mass_stiffness_3d, lambda: _mass_system(1)[0]],
-    ids=["u2d", "3d", "one-element"],
+    "system",
+    [_u_system_2d, _mass_stiffness_3d, lambda: _mass_system(1)[0],
+     *[lambda cells=cells: _u_system(cells) for cells in COINCIDING.values()]],
+    ids=["u2d", "3d", "one-element", *COINCIDING],
 )
 def test_band_solve_without_holder_equals_dgbsv(system):
-    # dgbsv is dgbtrf followed by dgbtrs; the oracle builds its own band array
+    # dgbsv is dgbtrf followed by dgbtrs; the oracle builds its own band
+    # array from the dense matrix
     a = system()
     b = np.random.default_rng(9).standard_normal(a.n)
-    rows = np.repeat(np.arange(a.n), np.diff(a.indptr))
-    kl = int(np.max(rows - a.indices))
-    ku = int(np.max(a.indices - rows))
+    full = dense(a)
+    rows, cols = np.nonzero(full)
+    kl = int(np.max(rows - cols))
+    ku = int(np.max(cols - rows))
     ab = np.zeros((2 * kl + ku + 1, a.n), order="F")
-    ab[kl + ku + rows - a.indices, a.indices] = a.data
+    ab[kl + ku + rows - cols, cols] = full[rows, cols]
     _, _, oracle, info = lapack.dgbsv(kl, ku, ab, b)
     assert info == 0
     assert solve(a, b).tobytes() == oracle.tobytes()
@@ -315,13 +366,12 @@ def test_band_solves_below_the_gate_factor_every_call(monkeypatch):
 def test_held_factors_of_another_pattern_are_not_reused(monkeypatch):
     a = _u_system_2d()
     b = np.random.default_rng(10).standard_normal(a.n)
-    # the same matrix with an explicit zero stored in row 0: the held factors
-    # would solve it exactly, but its pattern is another one
-    pos = a.indptr[0] + np.searchsorted(a.indices[a.indptr[0]:a.indptr[1]], 2)
-    indptr = a.indptr.copy()
-    indptr[1:] += 1
-    padded = CsrMatrix(
-        a.n, indptr, np.insert(a.indices, pos, 2), np.insert(a.data, pos, 0.0)
+    # the same matrix with a diagonal of zeros stored at offset 2: the held
+    # factors would solve it exactly, but its offsets are other ones
+    pos = np.searchsorted(a.offsets, 2)
+    assert a.offsets[pos] != 2
+    padded = DiaMatrix(
+        a.n, np.insert(a.offsets, pos, 2), np.insert(a.data, pos, 0.0, axis=0)
     )
     factored = spy_on_band(monkeypatch)
     band = BandLU()
@@ -349,10 +399,10 @@ def test_failed_krylov_reaches_the_lu_fallback_once(monkeypatch):
 
 
 def test_nonfinite_inputs_rejected():
-    a = csr([[1.0, 0.0], [0.0, 1.0]])
+    a = dia([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         solve(a, np.array([np.nan, 0.0]))
-    bad = CsrMatrix(2, a.indptr, a.indices, np.array([np.inf, 1.0]))
+    bad = DiaMatrix(2, a.offsets, np.array([[np.inf, 1.0]]))
     with pytest.raises(ValueError):
         solve(bad, np.ones(2))
     with pytest.raises(ValueError):
@@ -360,24 +410,23 @@ def test_nonfinite_inputs_rejected():
 
 
 def test_spmv_basics():
-    a = csr([[1.0, 2.0], [0.0, 3.0]])
+    a = dia([[1.0, 2.0], [0.0, 3.0]])
     np.testing.assert_array_equal(a.matvec(np.zeros(2)), np.zeros(2))
-    eye = csr(np.eye(3))
+    eye = dia(np.eye(3))
     x = np.array([1.0, -2.0, 4.0])
     np.testing.assert_array_equal(eye.matvec(x), x)
     with pytest.raises(ValueError):
         a.matvec(np.ones(3))
 
 
-def _random_csr(n, scale, seed):
-    """A random n x n CsrMatrix with about 7 entries per row, every diagonal
-    entry stored, values scaled by ``scale``."""
+def _random_dia(n, scale, seed):
+    """A random n x n DiaMatrix with 7 diagonals, the main one among them,
+    values scaled by ``scale``; the slots off the matrix hold values too,
+    which no product may read."""
     rng = np.random.default_rng(seed)
-    rows = np.arange(n).repeat(7)
-    cols = np.where(np.arange(7 * n) % 7, rng.integers(0, n, 7 * n), rows)
-    m = sp.csr_matrix((np.ones(7 * n), (rows, cols)), shape=(n, n))
-    m.data = scale * rng.standard_normal(m.nnz)
-    return CsrMatrix(n, m.indptr, m.indices, m.data), rng
+    others = rng.choice(np.delete(np.arange(1 - n, n), n - 1), 6, replace=False)
+    offsets = np.sort(np.append(others, 0))
+    return DiaMatrix(n, offsets, scale * rng.standard_normal((7, n))), rng
 
 
 @pytest.mark.parametrize(
@@ -386,14 +435,29 @@ def _random_csr(n, scale, seed):
     ids=["4", "1089", "strided", "near-1e150"],
 )
 def test_kernel_matvec_is_scipy_matmul_bit_for_bit(n, scale, stride):
-    # CsrMatrix.matvec calls the compiled kernel behind scipy's `@` directly;
-    # a renamed or changed kernel fails here
-    a, rng = _random_csr(n, scale, seed=n + stride)
+    # DiaMatrix.matvec calls the compiled kernel behind scipy's
+    # `dia_matrix @` directly; a renamed or changed kernel fails here
+    a, rng = _random_dia(n, scale, seed=n + stride)
     x = scale * rng.standard_normal(n * stride)[::stride]
     ours = a.matvec(x)
-    ref = a.to_scipy() @ x
+    ref = scipy_form(a) @ x
     assert ours.dtype == ref.dtype and ours.shape == ref.shape == (n,)
     assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "cells", [(32, 32), (1, 1), (1, 3), (3, 4, 5), (2, 1, 3)],
+    ids=["32x32", "one-element", "1x3", "3x4x5", "2x1x3"],
+)
+def test_kernel_dia_product_is_the_csr_product_bit_for_bit(cells):
+    # each row sums its entries in increasing column order, as scipy's CSR
+    # kernel does, and the zero slots add exact zeros: an assembled matrix
+    # gives the products of its CSR form
+    a = _u_system(cells)
+    x = np.random.default_rng(14).standard_normal(a.n)
+    ref = scipy_form(a).tocsr()
+    ref.sort_indices()
+    assert a.matvec(x).tobytes() == (ref @ x).tobytes()
 
 
 def test_kernel_rejects_wrong_operands_before_any_call(monkeypatch):
@@ -401,17 +465,22 @@ def test_kernel_rejects_wrong_operands_before_any_call(monkeypatch):
         def __getattr__(self, name):
             raise AssertionError(f"kernel {name} reached with a wrong operand")
 
-    a, _ = _random_csr(4, 1.0, seed=1)
+    a, _ = _random_dia(4, 1.0, seed=1)
+    m = scipy_form(a).tocsr()
     monkeypatch.setattr(linsolve, "_sparsetools", NoKernel())
     for x in (np.ones(3), np.ones(5), np.ones((4, 1)), np.ones(()), [1.0, 2.0]):
         with pytest.raises(ValueError):
             a.matvec(x)
-    product = lambda data, x: linsolve.csr_product(a.indptr, a.indices, data, a.n, x)
+    with pytest.raises(ValueError):
+        DiaMatrix(4, a.offsets[1:], a.data).matvec(np.ones(4))
+    with pytest.raises(TypeError):
+        DiaMatrix(4, a.offsets, a.data.astype(np.float32)).matvec(np.ones(4))
+    product = lambda data, x: linsolve.csr_product(m.indptr, m.indices, data, a.n, x)
     for x in (np.ones((5, 2)), np.ones((3, 1)), np.ones((4, 2, 1)), np.ones(())):
         with pytest.raises(ValueError):
-            product(a.data, x)
+            product(m.data, x)
     with pytest.raises(TypeError):
-        product(a.data.astype(np.float32), np.ones(4))
+        product(m.data.astype(np.float32), np.ones(4))
 
 
 @given(seed=st.integers(0, 2**31))
@@ -420,7 +489,7 @@ def test_spmv_matches_dense_oracle(seed):
     rng = np.random.default_rng(seed)
     full = rng.standard_normal((5, 5))
     full[rng.random((5, 5)) < 0.5] = 0.0
-    a = csr(full)
+    a = dia(full)
     x = rng.standard_normal(5)
     assert np.max(np.abs(a.matvec(x) - full @ x)) <= 1e-14
 
@@ -516,13 +585,6 @@ def test_wrong_preconditioner_still_meets_contract(wrong, spd, monkeypatch):
     m, b = _mass_system(12)
     x = solve(m, b, tol_lin=1e-12, spd=spd, precond=wrong)
     assert relative_residual(m, x, b) <= 1e-12
-
-
-def test_scipy_form_is_built_once_per_matrix():
-    m, _ = _mass_system(2)
-    assert m.to_scipy() is m.to_scipy()
-    # the assembled pattern is stored in scipy's index dtype, so no copy
-    assert np.shares_memory(m.indices, m.to_scipy().indices)
 
 
 def same_float(a, b) -> bool:

@@ -3,7 +3,7 @@ import pytest
 
 from haptosim import fem
 from haptosim.iocfg import parse_config
-from haptosim.linsolve import CsrMatrix
+from haptosim.linsolve import DiaMatrix
 from haptosim.model import Parameters
 from haptosim.verify import (
     OracleError,
@@ -179,7 +179,7 @@ def test_element_crosscheck_checks_the_assembly_the_stepper_calls(monkeypatch):
 
     def perturbed(*args, **kwargs):
         m = original(*args, **kwargs)
-        return CsrMatrix(m.n, m.indptr, m.indices, m.data * (1.0 + 1e-6))
+        return DiaMatrix(m.n, m.offsets, m.data * (1.0 + 1e-6))
 
     monkeypatch.setattr(fem, "assemble_haptotaxis", perturbed)
     report = element_matrix_crosscheck(n_random=5)

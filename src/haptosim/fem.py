@@ -7,10 +7,9 @@ basis function is a product of 1D hat functions, so each matrix form is a
 sum of Kronecker products of exact 1D integrals.  M and K are built from
 the 1D mass and stiffness bands; :class:`AssemblyPlan` applies W and B to
 the nodal coefficients axis by axis, one sparse product per axis (sum
-factorization), in work linear in the nodes.  The product load is
-integrated element by element with tensor-product 2-point Gauss quadrature
-on the reference cell [0,1]^dim, exact for its degree (at most 3 per axis)
-on axis-aligned elements.
+factorization), in work linear in the nodes.  The product load is W(a) b:
+with the Q1 interpolant of a as the weight it is exact, so every form comes
+from the same exact 1D integrals.
 
 Every matrix comes out as the diagonals of one global matrix, with the
 plan's offsets (a :class:`haptosim.linsolve.DiaMatrix`), so that matrices
@@ -24,7 +23,7 @@ vertex ordering of :mod:`haptosim.mesh`.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,54 +34,6 @@ from .mesh import FeField, StructuredMesh
 
 class AssemblyError(ValueError):
     """Degenerate element geometry or invalid coefficient data."""
-
-
-def reference_corners(dim: int) -> np.ndarray:
-    """Reference-cell corners in the canonical local ordering."""
-    base = ((0, 0), (1, 0), (1, 1), (0, 1))
-    if dim == 2:
-        return np.array(base, dtype=float)
-    if dim == 3:
-        return np.array(
-            [(x, y, 0) for x, y in base] + [(x, y, 1) for x, y in base], dtype=float
-        )
-    raise AssemblyError(f"dim must be 2 or 3, got {dim}")
-
-
-def shape_values(dim: int, points) -> np.ndarray:
-    """Q1 shape functions at reference points; shape (n_points, 2^dim)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    corners = reference_corners(dim)
-    vals = np.ones((pts.shape[0], corners.shape[0]))
-    for d in range(dim):
-        xi = pts[:, d][:, None]
-        vals *= np.where(corners[None, :, d] == 1.0, xi, 1.0 - xi)
-    return vals
-
-
-def gauss_rule(dim: int, points_per_axis: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """points_per_axis-point Gauss-Legendre rule on the reference cell
-    [0,1]^dim, tensorized over dim axes: (points (n, dim), weights (n,))."""
-    x, w = np.polynomial.legendre.leggauss(points_per_axis)
-    x01 = 0.5 * (x + 1.0)
-    w01 = 0.5 * w
-    grids = np.meshgrid(*([x01] * dim), indexing="ij")
-    points = np.column_stack([g.ravel(order="F") for g in grids])
-    wgrids = np.meshgrid(*([w01] * dim), indexing="ij")
-    weights = np.prod(
-        np.column_stack([g.ravel(order="F") for g in wgrids]), axis=1
-    )
-    return points, weights
-
-
-@lru_cache(maxsize=None)
-def _tables(dim: int):
-    """Cached 2-point Gauss weights and shape values on the reference cell."""
-    points, wq = gauss_rule(dim, 2)
-    phi = shape_values(dim, points)
-    wq.flags.writeable = False
-    phi.flags.writeable = False
-    return wq, phi
 
 
 def _coefficients(values, mesh, name) -> np.ndarray:
@@ -99,17 +50,6 @@ def _coefficients(values, mesh, name) -> np.ndarray:
     if not all_finite(v):
         raise AssemblyError(f"non-finite coefficients in {name}")
     return v
-
-
-def _axis_nodes(mesh: StructuredMesh) -> list[np.ndarray]:
-    """The node coordinates along each mesh axis, first axis first: the
-    coordinates the elements were sized from."""
-    coords = []
-    stride = 1
-    for d, nc in enumerate(mesh.cells_per_axis):
-        coords.append(mesh.node_coords[np.arange(nc + 1) * stride, d])
-        stride *= nc + 1
-    return coords
 
 
 # The exact 1D integrals in column b, as multiples of the length and the
@@ -227,16 +167,14 @@ class AssemblyPlan:
     node and 1D table (:func:`_axis_step`), so a form takes work and memory
     linear in the number of nodes.  The last step writes the merged
     diagonals directly.  The steps are built on a form's first use; the
-    mass and stiffness matrices need none.
-
-    The product load is integrated element by element with the 2-point
-    Gauss rule, exact for its degree.
+    mass and stiffness matrices need none.  The product load is W(a) b, by
+    the steps of W.
     """
 
     def __init__(self, mesh: StructuredMesh):
         self.mesh = mesh
         dim = mesh.dim
-        nodes = _axis_nodes(mesh)[::-1]
+        nodes = mesh.axis_nodes()[::-1]
         self.grid = tuple(x.size for x in nodes)
         # per array axis, z (3D) or y first
         self.tables, self.mass_bands, self.stiff_bands = zip(*map(_axis_integrals, nodes))
@@ -245,11 +183,6 @@ class AssemblyPlan:
         o = np.indices((3,) * dim).reshape(dim, -1).T - 1  # (o_z, o_y, o_x), row-major
         self.offsets, self.merge = np.unique(o @ strides, return_inverse=True)
         self.offsets.flags.writeable = False
-
-        # product load: 2-point Gauss rule per element
-        wq, self.phi = _tables(dim)
-        self.wphi = wq[:, None] * self.phi
-        self.volumes = mesh.element_volumes()
 
     def _axes(self):
         """(T, G, lines, targets) per array axis, in the order the steps
@@ -309,13 +242,6 @@ class AssemblyPlan:
             values = np.add.reduceat(values[grouped], starts, axis=0)
         return self.matrix(values)
 
-    def scatter_vector(self, element_entries: np.ndarray) -> np.ndarray:
-        return np.bincount(
-            self.mesh.elements.ravel(),
-            weights=element_entries.ravel(),
-            minlength=self.mesh.n_nodes,
-        )
-
 
 def assemble_mass(mesh: StructuredMesh, plan: AssemblyPlan | None = None) -> DiaMatrix:
     """M = the Kronecker product of the 1D mass matrices."""
@@ -347,38 +273,39 @@ def assemble_haptotaxis(mesh, c, plan: AssemblyPlan | None = None) -> DiaMatrix:
 
 
 def assemble_product_load(mesh, a, b, plan: AssemblyPlan | None = None) -> np.ndarray:
-    """Global load vector of  int a_h b_h phi_j."""
+    """Global load vector of  int a_h b_h phi_j, that is W(a) b: a_h is the
+    Q1 interpolant W(a) weighs with, so the product is exact."""
     plan = plan or AssemblyPlan(mesh)
     an = _coefficients(a, mesh, "first factor")
     bn = _coefficients(b, mesh, "second factor")
-    a_at = an[mesh.elements] @ plan.phi.T
-    b_at = bn[mesh.elements] @ plan.phi.T
-    elem = (a_at * b_at * plan.volumes[:, None]) @ plan.wphi
-    return plan.scatter_vector(elem)
+    # the plan's contraction rather than assemble_weighted_mass, so that a
+    # count of the weighted-mass assemblies leaves the load out
+    return plan.matrix(_contract(plan.weighted_mass_steps, an)).matvec(bn)
 
 
-def mass_inverse(mesh: StructuredMesh):
+def mass_inverse(plan: AssemblyPlan):
     """The inverse of the assembled mass matrix, as a function  b -> M^-1 b.
 
     On a tensor-product mesh the Q1 mass matrix is the Kronecker product of
     the 1D mass matrices of its axes, so its inverse is the Kronecker product
     of their small dense inverses (fast diagonalization; Lynch, Rice & Thomas,
-    Numer. Math. 6, 1964).  Applying it takes one matmul per axis on the
-    reshaped vector: O(N n) work for N nodes and n nodes per axis.
+    Numer. Math. 6, 1964), here of the plan's mass bands.  Applying it takes
+    one matmul per axis on the reshaped vector: O(N n) work for N nodes and n
+    nodes per axis.
     """
-    inverses = []
-    for x in _axis_nodes(mesh):
-        band = _axis_integrals(x)[1]
-        m1 = np.diag(band[1]) + np.diag(band[2, 1:], 1) + np.diag(band[0, :-1], -1)
-        inverses.append(np.linalg.inv(m1))
-    shape = tuple(m.shape[0] for m in reversed(inverses))  # mesh axis d is array axis dim-1-d
+    # the bands are per array axis, mesh axis 0 last; inverses[d] is mesh axis d's
+    inverses = [
+        np.linalg.inv(np.diag(band[1]) + np.diag(band[2, 1:], 1) + np.diag(band[0, :-1], -1))
+        for band in reversed(plan.mass_bands)
+    ]
+    shape = plan.grid
     first_t = np.ascontiguousarray(inverses[0].T)
 
     def apply(b) -> np.ndarray:
         # axis 0 is the last array axis; matmul contracts axis 1 as the
         # second-to-last in 2D and 3D alike; axis 2 leads in 3D
         x = inverses[1] @ (np.reshape(b, shape) @ first_t)
-        if mesh.dim == 3:
+        if len(shape) == 3:
             x = inverses[2] @ x.reshape(shape[0], -1)
         return x.reshape(-1)
 

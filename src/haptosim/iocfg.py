@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import model
-from .fem import _axis_nodes
 from .mesh import StructuredMesh, build_structured_mesh
 from .model import InitialData, Parameters, SimState
 
@@ -97,24 +96,18 @@ def _parse_float(key, value, lineno):
         raise ConfigError(f"line {lineno}: {key} must be a number, got {value!r}")
 
 
-def _parse_float_list(key, value, lineno):
-    return tuple(
-        _parse_float(key, part.strip(), lineno) for part in value.split(",") if part.strip() != ""
-    )
+def _parse_list(parse, key, value, lineno):
+    """The comma-separated entries of ``value``, each read by ``parse``."""
+    return tuple(parse(key, part.strip(), lineno) for part in value.split(",") if part.strip())
 
 
-def _parse_int_list(key, value, lineno):
-    return tuple(
-        _parse_int(key, part.strip(), lineno) for part in value.split(",") if part.strip() != ""
-    )
-
-
-def _per_axis(key, values, dim, lineno=0):
+def _per_axis(parse, key, value, lineno, dim):
+    values = _parse_list(parse, key, value, lineno)
     if len(values) == 1:
         return values * dim
     if len(values) != dim:
         raise ConfigError(
-            f"{key} needs 1 or {dim} comma-separated values, got {len(values)}"
+            f"line {lineno}: {key} needs 1 or {dim} comma-separated values, got {len(values)}"
         )
     return values
 
@@ -142,16 +135,16 @@ def build_config(pairs) -> RunConfig:
         raise ConfigError(f"dim must be 2 or 3, got {dim}")
 
     lineno, value = raw("domain_min", "0")
-    lo = _per_axis("domain_min", _parse_float_list("domain_min", value, lineno), dim)
+    lo = _per_axis(_parse_float, "domain_min", value, lineno, dim)
     lineno, value = raw("domain_max", "20")
-    hi = _per_axis("domain_max", _parse_float_list("domain_max", value, lineno), dim)
+    hi = _per_axis(_parse_float, "domain_max", value, lineno, dim)
     extents = tuple(zip(lo, hi))
     for axis, (a, b) in enumerate(extents):
         if not (b > a):
             raise ConfigError(f"domain interval [{a}, {b}] on axis {axis} is empty")
 
     lineno, value = raw("base_cells", "1")
-    base_cells = _per_axis("base_cells", _parse_int_list("base_cells", value, lineno), dim)
+    base_cells = _per_axis(_parse_int, "base_cells", value, lineno, dim)
     if any(b < 1 for b in base_cells):
         raise ConfigError(f"base_cells must be >= 1, got {base_cells}")
 
@@ -168,7 +161,7 @@ def build_config(pairs) -> RunConfig:
             numbers[f.name] = parse(f.name, value, lineno)
 
     lineno, value = raw("snapshots", "5, 15, 25, 35")
-    snapshots = _parse_float_list("snapshots", value, lineno)
+    snapshots = _parse_list(_parse_float, "snapshots", value, lineno)
     for t in snapshots:
         if t < 0.0:
             raise ConfigError(f"snapshot time {t} is negative")
@@ -256,7 +249,7 @@ def write_vtk(state: SimState, path) -> None:
     # each node's coordinates are those of its axes, so each axis coordinate
     # is printed once; rows join them with the first axis fastest, and z is
     # 0.0 in 2D
-    axes = [list(map(repr, x.tolist())) for x in _axis_nodes(mesh)] + [["0.0"]]
+    axes = [list(map(repr, x.tolist())) for x in mesh.axis_nodes()] + [["0.0"]]
     points = axes[0]
     for axis in axes[1:3]:
         points = [f"{row} {a}" for a in axis for row in points]

@@ -8,8 +8,8 @@ local vertex ordering of every element is fixed:
 * 3D: bottom face counterclockwise (seen from +z), then the top face in the
   same rotational order.
 
-This matches the reference-cell corner ordering used by the assembly in
-:mod:`haptosim.fem` and the VTK quad/hexahedron conventions.
+This matches the reference-cell corner ordering of the independent element
+oracle in :mod:`haptosim.verify` and the VTK quad/hexahedron conventions.
 """
 
 from __future__ import annotations
@@ -72,8 +72,15 @@ class StructuredMesh:
         hi = self.node_coords[self.elements[:, opposite]]
         return hi - lo
 
-    def element_volumes(self) -> np.ndarray:
-        return np.prod(self.element_sizes(), axis=1)
+    def axis_nodes(self) -> list[np.ndarray]:
+        """The node coordinates along each axis, first axis first: node
+        (i_1, ..., i_dim) sits at the i_d-th coordinate of each axis d."""
+        coords = []
+        stride = 1
+        for d, nc in enumerate(self.cells_per_axis):
+            coords.append(self.node_coords[np.arange(nc + 1) * stride, d])
+            stride *= nc + 1
+        return coords
 
 
 @dataclass

@@ -161,7 +161,7 @@ class Operators:
     @cached_property
     def mass_inverse(self):
         """b -> M^-1 b, built on first use rather than with the operators."""
-        return fem.mass_inverse(self.mesh)
+        return fem.mass_inverse(self.plan)
 
     def scaled_mass(self, factor) -> DiaMatrix:
         """factor * M, held for the last factor asked for, so that the

@@ -247,9 +247,22 @@ def _oracle_gauss_1d(n):
     return np.polynomial.legendre.leggauss(n)
 
 
+def _reference_corners(dim):
+    """Reference-cell corners in the canonical local vertex ordering of
+    :mod:`haptosim.mesh`."""
+    base = ((0, 0), (1, 0), (1, 1), (0, 1))
+    if dim == 2:
+        return np.array(base, dtype=float)
+    if dim == 3:
+        return np.array(
+            [(x, y, 0) for x, y in base] + [(x, y, 1) for x, y in base], dtype=float
+        )
+    raise StudyError(f"dim must be 2 or 3, got {dim}")
+
+
 def _oracle_basis(dim, point):
     """Independently coded Q1 basis values and gradients at one point."""
-    corners = fem.reference_corners(dim)
+    corners = _reference_corners(dim)
     nl = corners.shape[0]
     vals = np.ones(nl)
     grads = np.ones((nl, dim))

@@ -87,6 +87,7 @@ def test_haptotaxis_sweep_configuration():
         ("vtk_every = -2\n", "vtk_every"),
         ("initial = unknown-family\n", "initial"),
         ("domain_min = 1,2,3\n", "domain_min"),
+        ("base_cells = 1, 2, 3\n", "line 1: base_cells"),
         # the sweep's mixing depth and the initial data are no longer keys
         ("accel = -1\n", "accel"),
         ("accel = 2.5\n", "accel"),

@@ -276,8 +276,9 @@ def test_band_path_builds_no_scipy_form(monkeypatch):
     y = solve(nearby, b, x0=solve(a, b, band=band), band=band)
     assert len(factored) == band.factorizations == 1  # the second was refined
     mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (32, 32), 0)
-    mass = assemble_mass(mesh)
-    z = solve(mass, b, inverse=mass_inverse(mesh))
+    plan = AssemblyPlan(mesh)
+    mass = assemble_mass(mesh, plan)
+    z = solve(mass, b, inverse=mass_inverse(plan))
     assert len(factored) == 1  # the inverse met the contract
     mass.matvec(z)
     assert relative_residual(nearby, y, b) <= 1e-12

@@ -13,7 +13,8 @@ from the same exact 1D integrals.
 
 Every matrix comes out as the diagonals of one global matrix, with the
 plan's offsets (a :class:`haptosim.linsolve.DiaMatrix`), so that matrices
-of one mesh combine by their value arrays.  For the
+of one mesh add by their value arrays; W and B can be added straight into
+the diagonals of a given matrix by their last axis step.  For the
 haptotaxis matrix the row index is the test function, the column index the
 trial function.  On a one-element mesh the global form is the element form,
 which is where :func:`haptosim.verify.element_matrix_crosscheck` compares
@@ -131,14 +132,29 @@ def _axis_step(blocks, lines: int, targets=None) -> sp.csr_matrix:
     return sp.csr_matrix((vals, cols, indptr), shape=(n_rows, n_in * lines * n))
 
 
-def _contract(steps, v: np.ndarray) -> np.ndarray:
+def _contract(steps, v: np.ndarray, out=None) -> np.ndarray:
     """Apply the axis steps of a form to the nodal coefficients ``v``, each
     through :func:`haptosim.linsolve.csr_product`, the kernel of scipy's
-    ``@`` without its dispatch."""
+    ``@`` without its dispatch.  With ``out`` the last step adds its result
+    into that array."""
     for step in steps:
         cols = step.shape[1]
-        v = csr_product(step.indptr, step.indices, step.data, cols, v.reshape(cols, -1))
+        v = csr_product(step.indptr, step.indices, step.data, cols, v.reshape(cols, -1),
+                        out=out if step is steps[-1] else None)
     return v
+
+
+def _form(plan, steps, v, into) -> DiaMatrix:
+    """The matrix of the axis ``steps`` applied to ``v``, or ``into`` with
+    it added to its diagonals by the last step's product."""
+    if into is None:
+        return plan.matrix(_contract(steps, v))
+    if into.n != plan.mesh.n_nodes or into.offsets is not plan.offsets and not (
+        np.array_equal(into.offsets, plan.offsets)
+    ):
+        raise ValueError("the matrix to add into does not have the plan's offsets")
+    _contract(steps, v, out=into.data)
+    return into
 
 
 class AssemblyPlan:
@@ -166,9 +182,9 @@ class AssemblyPlan:
     Each axis step of W(w) and B(c) is a sparse matrix with 7 entries per
     node and 1D table (:func:`_axis_step`), so a form takes work and memory
     linear in the number of nodes.  The last step writes the merged
-    diagonals directly.  The steps are built on a form's first use; the
-    mass and stiffness matrices need none.  The product load is W(a) b, by
-    the steps of W.
+    diagonals directly, or adds them into those of a given matrix.  The
+    steps are built on a form's first use; the mass and stiffness matrices
+    need none.  The product load is W(a) b, by the steps of W.
     """
 
     def __init__(self, mesh: StructuredMesh):
@@ -258,18 +274,22 @@ def assemble_stiffness(mesh: StructuredMesh, plan: AssemblyPlan | None = None) -
     ])
 
 
-def assemble_weighted_mass(mesh, w, plan: AssemblyPlan | None = None) -> DiaMatrix:
-    """Global matrix of  int w_h phi_i phi_j."""
+def assemble_weighted_mass(mesh, w, plan: AssemblyPlan | None = None,
+                           into: DiaMatrix | None = None) -> DiaMatrix:
+    """Global matrix of  int w_h phi_i phi_j;  with ``into``, that matrix
+    plus W(w), written into its diagonals."""
     plan = plan or AssemblyPlan(mesh)
     wn = _coefficients(w, mesh, "weight field")
-    return plan.matrix(_contract(plan.weighted_mass_steps, wn))
+    return _form(plan, plan.weighted_mass_steps, wn, into)
 
 
-def assemble_haptotaxis(mesh, c, plan: AssemblyPlan | None = None) -> DiaMatrix:
-    """Global matrix of  int phi_i (grad c_h . grad phi_j);  row = test index."""
+def assemble_haptotaxis(mesh, c, plan: AssemblyPlan | None = None,
+                        into: DiaMatrix | None = None) -> DiaMatrix:
+    """Global matrix of  int phi_i (grad c_h . grad phi_j);  row = test index.
+    With ``into``, that matrix plus B(c), written into its diagonals."""
     plan = plan or AssemblyPlan(mesh)
     cn = _coefficients(c, mesh, "matrix-density field")
-    return plan.matrix(_contract(plan.haptotaxis_steps, cn))
+    return _form(plan, plan.haptotaxis_steps, cn, into)
 
 
 def assemble_product_load(mesh, a, b, plan: AssemblyPlan | None = None) -> np.ndarray:

@@ -65,7 +65,8 @@ class RunConfig:
 
 
 def read_pairs(text: str):
-    """Split config text into (line_number, key, raw_value) triples."""
+    """Split config text into (where, key, raw_value) triples, ``where``
+    being "line N", the place that error messages name."""
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -78,90 +79,89 @@ def read_pairs(text: str):
         value = value.strip()
         if not key:
             raise ConfigError(f"line {lineno}: missing key")
-        pairs.append((lineno, key, value))
+        pairs.append((f"line {lineno}", key, value))
     return pairs
 
 
-def _parse_int(key, value, lineno):
+def _parse_int(key, value, where):
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: {key} must be an integer, got {value!r}")
+        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
 
 
-def _parse_float(key, value, lineno):
+def _parse_float(key, value, where):
     try:
         return float(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: {key} must be a number, got {value!r}")
+        raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
 
 
-def _parse_list(parse, key, value, lineno):
+def _parse_list(parse, key, value, where):
     """The comma-separated entries of ``value``, each read by ``parse``."""
-    return tuple(parse(key, part.strip(), lineno) for part in value.split(",") if part.strip())
+    return tuple(parse(key, part.strip(), where) for part in value.split(",") if part.strip())
 
 
-def _per_axis(parse, key, value, lineno, dim):
-    values = _parse_list(parse, key, value, lineno)
+def _per_axis(parse, key, value, where, dim):
+    values = _parse_list(parse, key, value, where)
     if len(values) == 1:
         return values * dim
     if len(values) != dim:
         raise ConfigError(
-            f"line {lineno}: {key} needs 1 or {dim} comma-separated values, got {len(values)}"
+            f"{where}: {key} needs 1 or {dim} comma-separated values, got {len(values)}"
         )
     return values
 
 
 def build_config(pairs) -> RunConfig:
-    """Validate key/value pairs (as from :func:`read_pairs`) into a RunConfig."""
+    """Validate key/value pairs (as from :func:`read_pairs` and
+    :func:`apply_overrides`) into a RunConfig."""
     seen = {}
-    for lineno, key, value in pairs:
+    for where, key, value in pairs:
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         if key in seen:
-            raise ConfigError(
-                f"line {lineno}: duplicate key {key!r} (first on line {seen[key][0]})"
-            )
-        seen[key] = (lineno, value)
+            raise ConfigError(f"{where}: duplicate key {key!r} (first on {seen[key][0]})")
+        seen[key] = (where, value)
 
     def raw(key, default=None):
         if key in seen:
             return seen[key]
-        return (0, default)
+        return ("default", default)
 
-    lineno, value = raw("dim", "2")
-    dim = _parse_int("dim", value, lineno)
+    where, value = raw("dim", "2")
+    dim = _parse_int("dim", value, where)
     if dim not in (2, 3):
         raise ConfigError(f"dim must be 2 or 3, got {dim}")
 
-    lineno, value = raw("domain_min", "0")
-    lo = _per_axis(_parse_float, "domain_min", value, lineno, dim)
-    lineno, value = raw("domain_max", "20")
-    hi = _per_axis(_parse_float, "domain_max", value, lineno, dim)
+    where, value = raw("domain_min", "0")
+    lo = _per_axis(_parse_float, "domain_min", value, where, dim)
+    where, value = raw("domain_max", "20")
+    hi = _per_axis(_parse_float, "domain_max", value, where, dim)
     extents = tuple(zip(lo, hi))
     for axis, (a, b) in enumerate(extents):
         if not (b > a):
             raise ConfigError(f"domain interval [{a}, {b}] on axis {axis} is empty")
 
-    lineno, value = raw("base_cells", "1")
-    base_cells = _per_axis(_parse_int, "base_cells", value, lineno, dim)
+    where, value = raw("base_cells", "1")
+    base_cells = _per_axis(_parse_int, "base_cells", value, where, dim)
     if any(b < 1 for b in base_cells):
         raise ConfigError(f"base_cells must be >= 1, got {base_cells}")
 
-    lineno, value = raw("refinements", "5")
-    refinements = _parse_int("refinements", value, lineno)
+    where, value = raw("refinements", "5")
+    refinements = _parse_int("refinements", value, where)
     if refinements < 0:
         raise ConfigError(f"refinements must be >= 0, got {refinements}")
 
     numbers = {}
     for f in fields(Parameters):
         if f.name in seen:
-            lineno, value = seen[f.name]
+            where, value = seen[f.name]
             parse = _parse_int if isinstance(f.default, int) else _parse_float
-            numbers[f.name] = parse(f.name, value, lineno)
+            numbers[f.name] = parse(f.name, value, where)
 
-    lineno, value = raw("snapshots", "5, 15, 25, 35")
-    snapshots = _parse_list(_parse_float, "snapshots", value, lineno)
+    where, value = raw("snapshots", "5, 15, 25, 35")
+    snapshots = _parse_list(_parse_float, "snapshots", value, where)
     for t in snapshots:
         if t < 0.0:
             raise ConfigError(f"snapshot time {t} is negative")
@@ -176,8 +176,8 @@ def build_config(pairs) -> RunConfig:
     _, value = raw("out_dir", None)
     out_dir = value if value is not None else os.environ.get("HAPTOSIM_OUT", "out")
 
-    lineno, value = raw("vtk_every", "0")
-    vtk_every = _parse_int("vtk_every", value, lineno)
+    where, value = raw("vtk_every", "0")
+    vtk_every = _parse_int("vtk_every", value, where)
     if vtk_every < 0:
         raise ConfigError(f"vtk_every must be >= 0, got {vtk_every}")
 
@@ -199,7 +199,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def apply_overrides(pairs, overrides):
-    """Apply ``key=value`` override strings on top of file pairs."""
+    """Apply ``key=value`` override strings on top of file pairs; the n-th
+    override's errors are reported as "override n"."""
     merged = list(pairs)
     for n, item in enumerate(overrides, start=1):
         if "=" not in item:
@@ -207,7 +208,7 @@ def apply_overrides(pairs, overrides):
         key, value = item.split("=", 1)
         key, value = key.strip(), value.strip()
         merged = [p for p in merged if p[1] != key]
-        merged.append((0, key, value))
+        merged.append((f"override {n}", key, value))
     return merged
 
 

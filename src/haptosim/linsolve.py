@@ -1,17 +1,20 @@
 """Sparse diagonal storage and the linear-solve contract for the implicit steps.
 
-The module holds what the time stepper calls and nothing else: the
-:class:`DiaMatrix` that :mod:`haptosim.fem` assembles, :func:`combine` for
-linear combinations of matrices that share one offsets array,
-:func:`csr_product` for the axis steps of the assembly and :func:`solve`.
+The module holds what the time stepper calls: the :class:`DiaMatrix` that
+:mod:`haptosim.fem` assembles, :func:`csr_product` for the axis steps of the
+assembly, which can add a form into the diagonals of a system being built,
+and :func:`solve`.  :func:`combine`, linear combinations of matrices that
+share one offsets array, is not on the sweep path; the tests build
+reference systems with it.
 
 ``solve`` guarantees a relative residual  ||Ax - b|| / max(||b||, eps)  below
 ``tol_lin`` or raises :class:`SolverFailure`.  The mechanisms behind the
 contract, in the order they are tried:
 
-* a caller-supplied exact inverse (``inverse=``; the stepper passes the
-  Kronecker-factored inverse of the scaled mass matrix for the protease
-  system), accepted when its result meets the contract;
+* a caller-supplied exact inverse (``inverse=``; the stepper solves the
+  protease system as M x = b / (1 + theta dt / epsilon) and passes the
+  Kronecker-factored inverse of M), accepted when its result meets the
+  contract;
 * up to ``DIRECT_LIMIT`` unknowns, LAPACK's banded LU with partial pivoting
   (``dgbtrf``, then ``dgbtrs``).  The structured meshes number their nodes
   lexicographically, first axis fastest, so every assembled matrix is a band
@@ -112,15 +115,18 @@ class DiaMatrix:
         return y
 
 
-def csr_product(indptr, indices, data, n_cols, x) -> np.ndarray:
+def csr_product(indptr, indices, data, n_cols, x, out=None) -> np.ndarray:
     """The CSR matrix (indptr, indices, data) of n_cols columns times x, one
     vector of n_cols entries or an (n_cols, k) stack of k vectors.
 
     It calls the compiled kernels that scipy's ``@`` calls, in the same
     cases (``csr_matvec`` for one vector, ``csr_matvecs`` for more), so
     every sum runs in the same order and gives the same bits, without
-    scipy's Python-level dispatch or a ``csr_matrix``.  The kernels check
-    no lengths or types, so this does.
+    scipy's Python-level dispatch or a ``csr_matrix``.  The kernels compute
+    y += A x: with ``out``, a C-contiguous float64 array of n_rows k values
+    in any shape, the product is added into it and ``out`` is returned;
+    without, y starts at zero.  The kernels check no lengths or types, so
+    this does.
     """
     if data.dtype != np.float64:
         raise TypeError(f"matrix values are {data.dtype}, not float64")
@@ -128,12 +134,21 @@ def csr_product(indptr, indices, data, n_cols, x) -> np.ndarray:
     if not 1 <= x.ndim <= 2 or x.shape[0] != n_cols:
         raise ValueError(f"operand has shape {x.shape}, matrix has {n_cols} columns")
     n_rows = indptr.size - 1
-    if x.ndim == 1 or x.shape[1] == 1:
-        y = np.zeros(n_rows)
+    k = 1 if x.ndim == 1 else x.shape[1]
+    if out is None:
+        y = np.zeros(n_rows if x.ndim == 1 else (n_rows, k))
+    else:
+        if out.dtype != np.float64:
+            raise TypeError(f"output values are {out.dtype}, not float64")
+        if not out.flags.c_contiguous:
+            raise ValueError("output array is not C-contiguous")
+        if out.size != n_rows * k:
+            raise ValueError(f"output has {out.size} values, product has {n_rows} x {k}")
+        y = out
+    if k == 1:
         _sparsetools.csr_matvec(n_rows, n_cols, indptr, indices, data, x, y)
-        return y if x.ndim == 1 else y.reshape(n_rows, 1)
-    y = np.zeros((n_rows, x.shape[1]))
-    _sparsetools.csr_matvecs(n_rows, n_cols, x.shape[1], indptr, indices, data, x, y)
+    else:
+        _sparsetools.csr_matvecs(n_rows, n_cols, k, indptr, indices, data, x, y)
     return y
 
 
@@ -141,6 +156,9 @@ def combine(terms) -> DiaMatrix:
     """Linear combination  sum_k  coeff_k * A_k  of matrices with one offsets
     array (as produced by a single :class:`haptosim.fem.AssemblyPlan`); only
     the value arrays are combined.
+
+    Not on the sweep path: the stepper adds its forms into the u system as
+    it assembles them.  Tests build reference systems with it.
     """
     terms = list(terms)
     if not terms:

@@ -24,7 +24,10 @@ which saves sweeps where the drift couples u to c.  Its fixed points are
 the solutions of the step's coupled equations.
 
 Mass and stiffness matrices are assembled once per mesh; the coefficient-
-dependent matrices and load vectors are reassembled every sweep.  The banded
+dependent matrices and load vectors are reassembled every sweep.  The u
+system is built in one array: it starts as (dtf/alpha) K, and the last axis
+step of W and of B adds each form into its diagonals.  The protease system
+is M itself, with the right-hand side divided by its scale.  The banded
 LU factors of the u and c systems are kept from sweep to sweep and step to
 step: a solve refines its warm start with them and factors its matrix only
 when they no longer fit it (see :class:`haptosim.linsolve.BandLU`).  Non-finite
@@ -140,10 +143,11 @@ class Operators:
     """Mesh-bound discrete operators shared by all steps of a run.
 
     Every matrix it holds or assembles is a :class:`DiaMatrix` with the
-    offsets of its :class:`haptosim.fem.AssemblyPlan`, so the sweep's
-    systems combine them by their diagonals.  It also holds the band factors of the u and c systems, so a run given
-    the Operators of an earlier run starts from the factors that run left;
-    its solves still meet tol_lin.
+    offsets of its :class:`haptosim.fem.AssemblyPlan`, so the forms of the
+    sweep's systems add into one another's diagonals.  The held mass and
+    stiffness matrices are never written to.  It also holds the band factors
+    of the u and c systems, so a run given the Operators of an earlier run
+    starts from the factors that run left; its solves still meet tol_lin.
     """
 
     def __init__(self, mesh: StructuredMesh):
@@ -153,7 +157,6 @@ class Operators:
         self.stiffness = fem.assemble_stiffness(mesh, self.plan)
         # integral of each basis function; masses are dot products with this
         self.mass_vector = self.mass.matvec(np.ones(mesh.n_nodes))
-        self._scaled_mass = None
         # the band factors of the u and c systems, kept from sweep to sweep
         self.u_band = linsolve.BandLU()
         self.c_band = linsolve.BandLU()
@@ -163,25 +166,15 @@ class Operators:
         """b -> M^-1 b, built on first use rather than with the operators."""
         return fem.mass_inverse(self.plan)
 
-    def scaled_mass(self, factor) -> DiaMatrix:
-        """factor * M, held for the last factor asked for, so that the
-        constant protease matrix is built once per run, not once per sweep."""
-        if self._scaled_mass is None or self._scaled_mass[0] != factor:
-            m = self.mass
-            self._scaled_mass = (
-                factor, DiaMatrix(m.n, m.offsets, factor * m.data)
-            )
-        return self._scaled_mass[1]
-
     def band_factorizations(self) -> tuple[int, int]:
         """The banded LU factorizations of the u and c systems so far."""
         return self.u_band.factorizations, self.c_band.factorizations
 
-    def weighted_mass(self, w) -> DiaMatrix:
-        return fem.assemble_weighted_mass(self.mesh, w, self.plan)
+    def weighted_mass(self, w, into: DiaMatrix | None = None) -> DiaMatrix:
+        return fem.assemble_weighted_mass(self.mesh, w, self.plan, into)
 
-    def haptotaxis(self, c) -> DiaMatrix:
-        return fem.assemble_haptotaxis(self.mesh, c, self.plan)
+    def haptotaxis(self, c, into: DiaMatrix | None = None) -> DiaMatrix:
+        return fem.assemble_haptotaxis(self.mesh, c, self.plan, into)
 
     def product_load(self, a, b) -> np.ndarray:
         return fem.assemble_product_load(self.mesh, a, b, self.plan)
@@ -193,16 +186,16 @@ def _u_system_matrix(ops, params, u_coeffs, c_coeffs, dt_factor) -> DiaMatrix:
 
     The mass terms fold into one weighted mass, M - dtf mu (M - W(u)) =
     W(1 + dtf mu (u - 1)): Q1 interpolates constants exactly and W is linear
-    in its weight.
+    in its weight (mu > 0 in every :class:`Parameters`).  B is linear in c,
+    so -dtf chi B(c) = B(-dtf chi c).  The matrix starts as (dtf/alpha) K,
+    and the last axis step of each form adds W and B into its diagonals.
     """
-    if params.mu != 0.0:
-        first = ops.weighted_mass(1.0 + dt_factor * params.mu * (u_coeffs - 1.0))
-    else:
-        first = ops.mass
-    terms = [(1.0, first), (dt_factor / params.alpha, ops.stiffness)]
+    k = ops.stiffness
+    system = DiaMatrix(k.n, k.offsets, (dt_factor / params.alpha) * k.data)
+    ops.weighted_mass(1.0 + dt_factor * params.mu * (u_coeffs - 1.0), into=system)
     if params.chi != 0.0:
-        terms.append((-dt_factor * params.chi, ops.haptotaxis(c_coeffs)))
-    return linsolve.combine(terms)
+        ops.haptotaxis((-dt_factor * params.chi) * c_coeffs, into=system)
+    return system
 
 
 def _c_system_matrix(ops, params, p_coeffs, dt_factor) -> DiaMatrix:
@@ -253,13 +246,10 @@ def _p_solve(ops, params, u_it, c_it, rhs_const, x0=None) -> np.ndarray:
     rhs = rhs_const
     if implicit != 0.0:
         rhs = rhs + implicit * ops.product_load(u_it, c_it)
-    scale = 1.0 + implicit
-    # the scaled mass matrix is symmetric positive definite, and its inverse
-    # is known exactly
-    return _solve(
-        ops.scaled_mass(scale), rhs, params, x0=x0, spd=True,
-        inverse=lambda b: ops.mass_inverse(b) / scale,
-    )
+    # (1 + implicit) M p = rhs: M is symmetric positive definite, and its
+    # inverse is known exactly
+    return _solve(ops.mass, rhs / (1.0 + implicit), params, x0=x0, spd=True,
+                  inverse=ops.mass_inverse)
 
 
 def _solve(lhs, rhs, params, **kwargs) -> np.ndarray:

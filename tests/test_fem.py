@@ -425,3 +425,33 @@ def test_kernel_contract_rejects_a_wrong_length_before_any_call(monkeypatch):
     for n in (mesh.n_nodes - 1, mesh.n_nodes + 1, 2 * mesh.n_nodes + 1):
         with pytest.raises(ValueError):
             fem._contract(steps, np.ones(n))
+
+
+@pytest.mark.parametrize("case", KERNEL_MESHES.values(), ids=KERNEL_MESHES.keys())
+def test_kernel_forms_add_into_a_matrix_of_the_plans_offsets(case, monkeypatch):
+    # the last axis step adds into the given matrix; from zero it is the
+    # plain form bit for bit
+    mesh = build_structured_mesh(*case)
+    plan = AssemblyPlan(mesh)
+    v = np.random.default_rng(13).uniform(-1.0, 1.0, mesh.n_nodes)
+    for form in (assemble_weighted_mass, assemble_haptotaxis):
+        into = plan.matrix(np.zeros((plan.offsets.size, mesh.n_nodes)))
+        assert form(mesh, v, plan, into) is into
+        assert into.data.tobytes() == form(mesh, v, plan).data.tobytes()
+
+    class NoKernel:
+        def __getattr__(self, name):
+            raise AssertionError(f"kernel {name} reached with a foreign matrix")
+
+    monkeypatch.setattr(linsolve, "_sparsetools", NoKernel())
+    other = AssemblyPlan(build_structured_mesh(2, UNIT, (5, 7), 0))
+    n = mesh.n_nodes
+    foreign = [
+        linsolve.DiaMatrix(n, plan.offsets + 1, np.zeros((plan.offsets.size, n))),
+        linsolve.DiaMatrix(n, plan.offsets[1:], np.zeros((plan.offsets.size - 1, n))),
+        other.matrix(np.zeros((other.offsets.size, other.mesh.n_nodes))),
+    ]
+    for into in foreign:
+        for form in (assemble_weighted_mass, assemble_haptotaxis):
+            with pytest.raises(ValueError, match="offsets"):
+                form(mesh, v, plan, into)

@@ -74,7 +74,7 @@ def test_haptotaxis_sweep_configuration():
         ("mu 3\n", "key = value"),
         ("mu = abc\n", "number"),
         ("dim = 4\n", "dim"),
-        ("mu = 0.5\nmu = 0.6\n", "duplicate"),
+        ("mu = 0.5\nmu = 0.6\n", r"line 2: duplicate key 'mu' \(first on line 1\)"),
         ("snapshots = 2.5\n", "step boundary"),
         ("snapshots = -5\n", "negative"),
         ("t_final = 10.5\n", "whole number"),
@@ -119,6 +119,21 @@ def test_overrides_replace_file_values():
     assert cfg.out_dir == "/tmp/x"
     with pytest.raises(ConfigError):
         apply_overrides(pairs, ["not-an-assignment"])
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["mu=abc"], "override 1: mu must be a number, got 'abc'"),
+        (["chi=0.1", "base_cells=1,2,3"],
+         "override 2: base_cells needs 1 or 2 comma-separated values, got 3"),
+    ],
+)
+def test_override_errors_name_the_override(overrides, message):
+    pairs = read_pairs("mu = 0.5\nchi = 0.01\n")
+    with pytest.raises(ConfigError) as err:
+        build_config(apply_overrides(pairs, overrides))
+    assert str(err.value) == message
 
 
 def test_out_dir_defaults_to_environment_root(monkeypatch):

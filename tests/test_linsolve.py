@@ -482,6 +482,32 @@ def test_kernel_rejects_wrong_operands_before_any_call(monkeypatch):
             product(m.data, x)
     with pytest.raises(TypeError):
         product(m.data.astype(np.float32), np.ones(4))
+    # an array to add the product into must take it in place
+    into = lambda out, x=np.ones((4, 2)): linsolve.csr_product(
+        m.indptr, m.indices, m.data, a.n, x, out=out)
+    for out in (np.zeros(7), np.zeros((4, 3)), np.zeros(16)[::2], np.zeros((2, 4)).T):
+        with pytest.raises(ValueError):
+            into(out)
+    with pytest.raises(ValueError):
+        into(np.zeros(5), np.ones(4))
+    for out in (np.zeros(8, dtype=np.float32), np.zeros(8, dtype=complex)):
+        with pytest.raises(TypeError):
+            into(out)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_kernel_product_adds_into_out(k):
+    a, rng = _random_dia(6, 1.0, seed=k)
+    m = scipy_form(a).tocsr()
+    x = rng.standard_normal((6, k))
+    fresh = linsolve.csr_product(m.indptr, m.indices, m.data, a.n, x)
+    out = np.zeros(6 * k)  # any shape of the right size
+    assert linsolve.csr_product(m.indptr, m.indices, m.data, a.n, x, out=out) is out
+    assert out.tobytes() == fresh.tobytes()  # the kernel starts from y = 0
+    base = rng.standard_normal((6, k))
+    out = base.copy()
+    linsolve.csr_product(m.indptr, m.indices, m.data, a.n, x, out=out)
+    assert np.max(np.abs(out - (base + m @ x))) <= 1e-15 * np.max(np.abs(out))
 
 
 @given(seed=st.integers(0, 2**31))

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -649,6 +650,41 @@ def test_p_solve_matches_sparse_lu_of_scaled_mass():
     assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+U_SYSTEM_MESHES = {
+    "2d-4x3": (2, ((0.0, 4.0), (0.0, 1.5)), (4, 3)),
+    "3d-3x4x5": (3, ((0.0, 1.0), (-1.0, 1.5), (2.0, 6.0)), (3, 4, 5)),
+    "3d-2x1x3": (3, ((0.0, 1.0), (-1.0, 1.5), (2.0, 6.0)), (2, 1, 3)),  # merged offsets
+}
+
+
+@pytest.mark.parametrize("dt_factor", [0.7, -0.3])
+@pytest.mark.parametrize("mu, chi", [(0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (1.0, 1.0)])
+@pytest.mark.parametrize("case", U_SYSTEM_MESHES.values(), ids=U_SYSTEM_MESHES.keys())
+def test_u_system_accumulated_in_place_is_the_combination(case, mu, chi, dt_factor):
+    """W(w) and B(-sigma c) added into kappa K give combine's u system, and
+    the held mass and stiffness matrices stay as they were.  Parameters
+    rejects mu = 0, so a plain namespace carries it: W(1) is then M."""
+    dim, extents, cells = case
+    ops = Operators(build_structured_mesh(dim, extents, cells, 0))
+    params = types.SimpleNamespace(mu=mu, chi=chi, alpha=3.0)
+    rng = np.random.default_rng(21)
+    u, c = rng.uniform(0.0, 2.0, (2, ops.mesh.n_nodes))
+    mass, stiffness = ops.mass.data.copy(), ops.stiffness.data.copy()
+
+    a = stepper._u_system_matrix(ops, params, u, c, dt_factor)
+
+    w = 1.0 + dt_factor * mu * (u - 1.0)
+    ref = linsolve.combine([
+        (1.0, fem.assemble_weighted_mass(ops.mesh, w) if mu != 0.0 else ops.mass),
+        (dt_factor / params.alpha, ops.stiffness),
+        (-dt_factor * chi, fem.assemble_haptotaxis(ops.mesh, c)),
+    ])
+    assert a.offsets is ops.plan.offsets
+    assert np.max(np.abs(a.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+    assert ops.mass.data.tobytes() == mass.tobytes()
+    assert ops.stiffness.data.tobytes() == stiffness.tobytes()
+
+
 def test_c_solve_converges_with_mass_inverse_preconditioner(monkeypatch):
     mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (1, 1), 3)
     ops = Operators(mesh)
@@ -723,6 +759,7 @@ def test_form_calls_per_sweep(monkeypatch, chi, mu, theta):
     expects per sweep two weighted masses if mu != 0 (else one), a haptotaxis
     matrix if chi != 0 and a product load, and the same once more per step
     for the explicit side when theta < 1; building the operators makes none.
+    The forms add straight into the u system, so the sweep calls no combine.
     """
     calls = {}
 
@@ -757,5 +794,5 @@ def test_form_calls_per_sweep(monkeypatch, chi, mu, theta):
         "assemble_weighted_mass": 2 * n if mu != 0.0 else n,
         "assemble_haptotaxis": n if chi != 0.0 else 0,
         "assemble_product_load": n,
-        "combine": n,  # the u system only: W(1 + dtf p) is the whole c system
+        "combine": 0,  # W and B add into the u system, W(1 + dtf p) is the c system
     }

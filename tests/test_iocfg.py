@@ -74,7 +74,7 @@ def test_haptotaxis_sweep_configuration():
         ("mu 3\n", "key = value"),
         ("mu = abc\n", "number"),
         ("dim = 4\n", "dim"),
-        ("mu = 0.5\nmu = 0.6\n", r"line 2: duplicate key 'mu' \(first on line 1\)"),
+        ("mu = 0.5\nmu = 0.6\n", "duplicate"),
         ("snapshots = 2.5\n", "step boundary"),
         ("snapshots = -5\n", "negative"),
         ("t_final = 10.5\n", "whole number"),
@@ -98,6 +98,12 @@ def test_haptotaxis_sweep_configuration():
 def test_invalid_configs_rejected(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+def test_duplicate_key_error_names_both_lines():
+    with pytest.raises(ConfigError) as err:
+        parse_config("mu = 0.5\nmu = 0.6\n")
+    assert "line 2: duplicate key 'mu' (first on line 1)" in str(err.value)
 
 
 def test_parse_error_carries_line_number():

@@ -24,10 +24,11 @@ vertex ordering of :mod:`haptosim.mesh`.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .linsolve import DiaMatrix, all_finite, csr_product
 from .mesh import FeField, StructuredMesh
@@ -303,30 +304,56 @@ def assemble_product_load(mesh, a, b, plan: AssemblyPlan | None = None) -> np.nd
     return plan.matrix(_contract(plan.weighted_mass_steps, an)).matvec(bn)
 
 
+# longest axis whose 1D mass matrix mass_inverse inverts as a dense matrix
+MASS_DENSE_MAX = 256
+
+
 def mass_inverse(plan: AssemblyPlan):
     """The inverse of the assembled mass matrix, as a function  b -> M^-1 b.
 
     On a tensor-product mesh the Q1 mass matrix is the Kronecker product of
     the 1D mass matrices of its axes, so its inverse is the Kronecker product
-    of their small dense inverses (fast diagonalization; Lynch, Rice & Thomas,
-    Numer. Math. 6, 1964), here of the plan's mass bands.  Applying it takes
-    one matmul per axis on the reshaped vector: O(N n) work for N nodes and n
-    nodes per axis.
+    of their inverses (fast diagonalization; Lynch, Rice & Thomas, Numer.
+    Math. 6, 1964), here of the plan's mass bands.  Applying it takes one
+    solve per axis on the reshaped vector.  On an axis of up to
+    ``MASS_DENSE_MAX`` nodes that solve is one matmul with the small dense
+    inverse, O(N n) work for N nodes and n nodes on the axis; on a longer
+    axis the dense inverse would take O(n^2) memory and O(n^3) time to build,
+    so the axis's tridiagonal matrix is factored once (LAPACK ``dpttrf``) and
+    each apply solves all lines of the axis as one block (``dpttrs``), O(N).
     """
-    # the bands are per array axis, mesh axis 0 last; inverses[d] is mesh axis d's
-    inverses = [
-        np.linalg.inv(np.diag(band[1]) + np.diag(band[2, 1:], 1) + np.diag(band[0, :-1], -1))
-        for band in reversed(plan.mass_bands)
-    ]
     shape = plan.grid
-    first_t = np.ascontiguousarray(inverses[0].T)
+    dim = len(shape)
+    steps = []  # one per mesh axis, in order; mesh axis d is array axis dim - 1 - d
+    for d, band in enumerate(reversed(plan.mass_bands)):
+        if band.shape[1] > MASS_DENSE_MAX:
+            diagonal, offdiagonal, _ = lapack.dpttrf(band[1], band[0, :-1])
+            steps.append(partial(_tridiagonal_lines, diagonal, offdiagonal, dim - 1 - d))
+            continue
+        inverse = np.linalg.inv(
+            np.diag(band[1]) + np.diag(band[2, 1:], 1) + np.diag(band[0, :-1], -1)
+        )
+        # matmul contracts the second-to-last axis, mesh axis 1 in 2D and 3D
+        # alike; mesh axis 0 is the last array axis and axis 2 leads in 3D
+        if d == 0:
+            steps.append(lambda x, inverse_t=np.ascontiguousarray(inverse.T): x @ inverse_t)
+        elif d == 1:
+            steps.append(lambda x, inverse=inverse: inverse @ x)
+        else:
+            steps.append(lambda x, inverse=inverse: inverse @ x.reshape(shape[0], -1))
 
     def apply(b) -> np.ndarray:
-        # axis 0 is the last array axis; matmul contracts axis 1 as the
-        # second-to-last in 2D and 3D alike; axis 2 leads in 3D
-        x = inverses[1] @ (np.reshape(b, shape) @ first_t)
-        if len(shape) == 3:
-            x = inverses[2] @ x.reshape(shape[0], -1)
+        x = np.reshape(b, shape)
+        for step in steps:
+            x = step(x)
         return x.reshape(-1)
 
     return apply
+
+
+def _tridiagonal_lines(diagonal, offdiagonal, axis, x) -> np.ndarray:
+    """The ``dpttrs`` solve, with the factors of ``dpttrf``, of every line of
+    x along one array axis, as one block of right-hand sides."""
+    lines = np.moveaxis(x, axis, 0)
+    solved, _ = lapack.dpttrs(diagonal, offdiagonal, lines.reshape(lines.shape[0], -1))
+    return np.moveaxis(solved.reshape(lines.shape), 0, axis)

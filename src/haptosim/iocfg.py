@@ -309,8 +309,9 @@ def write_diagnostics_csv(records, path) -> None:
 def write_events_jsonl(records, path) -> None:
     """Write one JSON line per committed step (every diagnostics row but the
     initial one): its time, sweep count, monitor flags, the (u, c, p)
-    increment norms of each sweep and the banded LU factorizations of the u
-    and c systems (see the stepper's StepRecord)."""
+    increment norms of each sweep, and the banded LU factorizations of the u
+    and c systems and their solves from band factors (see the stepper's
+    StepRecord)."""
     with open(path, "w", encoding="ascii") as fh:
         for rec in records[1:]:
             event = {
@@ -319,6 +320,7 @@ def write_events_jsonl(records, path) -> None:
                 "warnings": list(rec.warnings),
                 "sweep_residuals": [list(r) for r in rec.sweep_residuals],
                 "band_factorizations": dict(zip("uc", rec.band_factorizations)),
+                "band_substitutions": dict(zip("uc", rec.band_substitutions)),
             }
             fh.write(json.dumps(event) + "\n")
             if rec.breakdown:

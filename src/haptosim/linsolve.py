@@ -27,7 +27,10 @@ contract, in the order they are tried:
   from kl = ``REFINE_MIN_KL`` on, ``x0`` is refined with those factors
   (iterative refinement, Higham, Accuracy and Stability of Numerical
   Algorithms, 2nd ed., 2002, ch. 12) and the matrix is factored again only
-  when a refinement step stalls;
+  when a refinement step stalls.  There, factors whose factorization
+  interchanged no rows, as on every 2D mesh measured, are solved by two BLAS
+  banded triangular solves (``dtbsv``) on views of the factors, with the
+  bits of ``dgbtrs`` in about two thirds of its time;
 * above that, preconditioned BiCGSTAB (CG with ``spd=True``) with one
   tighter retry.  The preconditioner is Jacobi unless the caller supplies
   one (``precond=``; the stepper passes the inverse mass matrix for the
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.sparse import _sparsetools
 
 # largest system solved on the band.  With its factors held across sweeps
@@ -62,10 +65,14 @@ from scipy.sparse import _sparsetools
 # in 3D, and warm-started Krylov wins from 40^2 (1,681) and 10^3 (1,331)
 DIRECT_LIMIT = 1_200
 # smallest lower half-width kl at which a band solve refines from held
-# factors.  Below it a refined solve, with its matrix-vector products and
-# about three refinement steps, can cost more than factoring again: whole
-# 2D runs gain 8-25 % from refining at kl = 14-21 (12^2-19^2), but on 3^3
-# (kl = 21) refinement stalls in a quarter of the solves and the run loses
+# factors, and from which unpivoted factors are solved by BLAS triangular
+# solves instead of dgbtrs.  Below it a refined solve, with its
+# matrix-vector products and about three refinement steps, can cost more
+# than factoring again: whole 2D runs gain 8-25 % from refining at
+# kl = 14-21 (12^2-19^2), but on 3^3 (kl = 21) refinement stalls in a
+# quarter of the solves and the run loses.  The narrower bands, among them
+# the one-element systems, keep dgbtrs, whose bits the triangular solves
+# equal only where no row was interchanged
 REFINE_MIN_KL = 22
 # a refinement step must shrink the residual by this factor, and at most
 # REFINE_STEPS of them run; otherwise the matrix is factored again
@@ -202,13 +209,23 @@ class BandLU:
     factored.  :func:`solve` refines a warm start with these factors when the
     new matrix is close to that one, and factors the new matrix when it is
     not.  A matrix with other offsets drops the layout and the factors.
-    ``factorizations`` counts the ``dgbtrf`` calls.
+
+    When ``dgbtrf`` interchanged no rows, L is a unit lower band of width kl
+    and U an upper band of width ku, and from kl = ``REFINE_MIN_KL`` on each
+    solve from the factors is two BLAS banded triangular solves (``dtbsv``)
+    on views of the factors, with no copy: the same operations in the same
+    order as ``dgbtrs``, whose U solve also runs over the kl fill-in rows,
+    which then hold exact zeros.  Pivoted factors, and narrower bands, are
+    solved by ``dgbtrs``.  ``factorizations`` counts the ``dgbtrf`` calls
+    and ``substitutions`` the solves from factors, by either route.
     """
 
     def __init__(self):
         self.factorizations = 0
+        self.substitutions = 0
         self._offsets = None  # the offsets of the layout
         self._factors = None  # (lu, ipiv) of the last matrix factored
+        self._triangles = None  # (L, U) views of unpivoted factors, from REFINE_MIN_KL
 
     def _bind(self, a: DiaMatrix) -> None:
         # all matrices of one AssemblyPlan, and their combinations, share
@@ -224,7 +241,7 @@ class BandLU:
         self.ldab = 2 * self.kl + self.ku + 1
         self.rows = self.kl + self.ku - a.offsets
         self._offsets = a.offsets
-        self._factors = None
+        self._factors = self._triangles = None
 
     def solve(self, a: DiaMatrix, b, bnorm, tol_lin, x0=None):
         """x and A x.  From held factors and a warm start ``x0``, refinement
@@ -235,21 +252,41 @@ class BandLU:
             refined = self._refine(a, b, bnorm, tol_lin, x0)
             if refined is not None:
                 return refined
-        ab = np.zeros((a.n, self.ldab))
+        kl, ku, ldab, n = self.kl, self.ku, self.ldab, a.n
+        # the band array, column by column, then one spare column, of which
+        # the triangular solves need kl + ku entries: the Fortran arrays
+        # shifted by kl and by kl + ku, of the same lda, are then the BLAS
+        # band arrays of U (diagonal in row ku) and of L (diagonal in row 0)
+        buffer = np.zeros((n + 1, ldab))
+        ab = buffer[:n]
         ab[:, self.rows] = a.data.T
-        lu, ipiv, info = lapack.dgbtrf(ab.T, self.kl, self.ku, overwrite_ab=1)
+        lu, ipiv, info = lapack.dgbtrf(ab.T, kl, ku, overwrite_ab=1)
         self.factorizations += 1
         if info > 0:
-            self._factors = None
+            self._factors = self._triangles = None
             raise SolverFailure(
                 f"banded LU factorization failed: pivot {info} is exactly zero", np.inf
             )
         self._factors = (lu, ipiv)
-        x, _ = lapack.dgbtrs(lu, self.kl, self.ku, b, ipiv)
+        unpivoted = kl >= REFINE_MIN_KL and np.array_equal(ipiv, np.arange(n))
+        self._triangles = tuple(
+            buffer.reshape(-1)[shift:shift + ldab * n].reshape(ldab, n, order="F")
+            for shift in (kl + ku, kl)
+        ) if unpivoted else None
+        x = self._substitute(b)
         return x, a.matvec(x)
 
+    def _substitute(self, r):
+        """LU^-1 r from the held factors, in a new vector."""
+        self.substitutions += 1
+        if self._triangles is None:
+            lu, ipiv = self._factors
+            return lapack.dgbtrs(lu, self.kl, self.ku, r, ipiv)[0]
+        lower, upper = self._triangles
+        y = blas.dtbsv(self.kl, lower, r, lower=1, diag=1)
+        return blas.dtbsv(self.ku, upper, y, overwrite_x=1)
+
     def _refine(self, a, b, bnorm, tol_lin, x0):
-        lu, ipiv = self._factors
         x = np.array(x0, dtype=float)
         previous = np.inf
         for step in range(REFINE_STEPS + 1):
@@ -261,7 +298,7 @@ class BandLU:
             if step == REFINE_STEPS or not residual * REFINE_STALL <= previous:
                 return None
             previous = residual
-            x += lapack.dgbtrs(lu, self.kl, self.ku, r, ipiv)[0]
+            x += self._substitute(r)
 
 
 def _solve_krylov(a: DiaMatrix, b, tol_lin, x0=None, spd=False, precond=None):

@@ -39,6 +39,7 @@ gracefully with a :class:`BreakdownReport`; exceeding the sweep budget raises
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -127,6 +128,7 @@ class StepRecord:
     warnings: tuple[str, ...] = ()
     sweep_residuals: tuple[tuple[float, float, float], ...] = ()
     band_factorizations: tuple[int, int] = (0, 0)  # banded LUs of the u, c systems
+    band_substitutions: tuple[int, int] = (0, 0)  # their solves from band factors
 
 
 @dataclass
@@ -166,9 +168,11 @@ class Operators:
         """b -> M^-1 b, built on first use rather than with the operators."""
         return fem.mass_inverse(self.plan)
 
-    def band_factorizations(self) -> tuple[int, int]:
-        """The banded LU factorizations of the u and c systems so far."""
-        return self.u_band.factorizations, self.c_band.factorizations
+    def band_counts(self) -> tuple[int, int, int, int]:
+        """The banded LU factorizations of the u and c systems so far, then
+        their solves from band factors."""
+        u, c = self.u_band, self.c_band
+        return u.factorizations, c.factorizations, u.substitutions, c.substitutions
 
     def weighted_mass(self, w, into: DiaMatrix | None = None) -> DiaMatrix:
         return fem.assemble_weighted_mass(self.mesh, w, self.plan, into)
@@ -403,7 +407,8 @@ def _breakdown_state(state, t_new, u, c, p) -> SimState:
 
 
 def _record(state: SimState, ops: Operators, fp_iters: int, breakdown: int,
-            warnings=(), sweep_residuals=(), band_factorizations=(0, 0)) -> StepRecord:
+            warnings=(), sweep_residuals=(), band_factorizations=(0, 0),
+            band_substitutions=(0, 0)) -> StepRecord:
     masses = [
         float(np.dot(ops.mass_vector, f.coeffs)) for f in (state.u, state.c, state.p)
     ]
@@ -413,7 +418,7 @@ def _record(state: SimState, ops: Operators, fp_iters: int, breakdown: int,
         extrema.append(float(f.coeffs.min()))
     return StepRecord(
         state.t, *extrema, *masses, fp_iters, breakdown, tuple(warnings),
-        sweep_residuals, band_factorizations,
+        sweep_residuals, band_factorizations, band_substitutions,
     )
 
 
@@ -466,7 +471,7 @@ def simulate(
         snapshots.append((state.t, state.copy()))
 
     for n in range(1, n_steps + 1):
-        before = ops.band_factorizations()
+        before = ops.band_counts()
         try:
             new_state, report = fixed_point_advance(state, params, ops)
         except (NonconvergenceError, StepError) as exc:
@@ -474,16 +479,18 @@ def simulate(
             exc.state = state
             raise
         new_state.t = state0.t + n * params.dt  # drift-free step times
-        factored = tuple(b - a for a, b in zip(before, ops.band_factorizations()))
+        counts = tuple(map(operator.sub, ops.band_counts(), before))
+        factored, substituted = counts[:2], counts[2:]
         if report.breakdown is not None:
             records.append(
                 _record(new_state, ops, report.iterations, 1, ("breakdown",),
-                        report.history, factored)
+                        report.history, factored, substituted)
             )
             return RunResult(new_state, records, snapshots, report.breakdown)
         flags = step_warnings(state, new_state, params)
         records.append(
-            _record(new_state, ops, report.iterations, 0, flags, report.history, factored)
+            _record(new_state, ops, report.iterations, 0, flags, report.history,
+                    factored, substituted)
         )
         if n in snapshot_steps:
             snapshots.append((new_state.t, new_state.copy()))

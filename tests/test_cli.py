@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haptosim import cli
+from haptosim import cli, linsolve
 from haptosim.iocfg import parse_config, read_diagnostics_csv
 from haptosim.model import interpolate_initial_state
 
@@ -87,6 +87,38 @@ def test_run_events_count_the_band_factorizations(tmp_path):
     for event in events:
         factored = event["band_factorizations"]
         assert factored["u"] + factored["c"] < event["fp_iters"]
+
+
+def test_run_events_count_the_band_substitutions(tmp_path, monkeypatch):
+    # every solve from band factors, by dgbtrs or by the pair of BLAS
+    # triangular solves (counted at its L solve), is booked to its step
+    routes = {"dgbtrs": 0, "triangles": 0}
+    dgbtrs, dtbsv = linsolve.lapack.dgbtrs, linsolve.blas.dtbsv
+
+    def counted_dgbtrs(*args, **kwargs):
+        routes["dgbtrs"] += 1
+        return dgbtrs(*args, **kwargs)
+
+    def counted_dtbsv(*args, **kwargs):
+        routes["triangles"] += bool(kwargs.get("lower"))
+        return dtbsv(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve.lapack, "dgbtrs", counted_dgbtrs)
+    monkeypatch.setattr(linsolve.blas, "dtbsv", counted_dtbsv)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--set", "mu=1e-10", "--set", "t_final=5", "--set", "snapshots=",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    events = read_events(out)
+    assert len(events) == 5
+    booked = sum(e["band_substitutions"]["u"] + e["band_substitutions"]["c"] for e in events)
+    assert booked == routes["dgbtrs"] + routes["triangles"]
+    # the 32^2 factors interchange no rows, so they solve by the triangles
+    assert routes["triangles"] > 0
+    for event in events:
+        for name in "uc":
+            # each factorization solves once, each refinement step once more
+            assert event["band_substitutions"][name] >= event["band_factorizations"][name]
 
 
 def test_run_set_overrides(tmp_path):

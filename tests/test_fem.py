@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from functools import lru_cache
 
@@ -388,6 +389,48 @@ def test_mass_inverse_inverts_assembled_mass(dim, extents, cells, refinements):
         x = apply(b)
         assert x.shape == b.shape
         assert np.linalg.norm(m.matvec(x) - b) / np.linalg.norm(b) <= 1e-14
+
+
+# one axis longer than fem.MASS_DENSE_MAX nodes, in each position
+LONG_AXIS_MESHES = {
+    "1999x1": (1999, 1),
+    "3x400": (3, 400),
+    "300x2x3": (300, 2, 3),
+    "2x300x3": (2, 300, 3),
+    "3x2x300": (3, 2, 300),
+}
+
+
+@pytest.mark.parametrize("cells", LONG_AXIS_MESHES.values(), ids=LONG_AXIS_MESHES)
+def test_mass_inverse_solves_long_axes_by_lines(cells):
+    mesh = build_structured_mesh(len(cells), [(0.0, float(n)) for n in cells], cells, 0)
+    assert min(cells) + 1 <= fem.MASS_DENSE_MAX < max(cells) + 1
+    m = assemble_mass(mesh)
+    apply = mass_inverse(AssemblyPlan(mesh))
+    b = np.random.default_rng(8).standard_normal(mesh.n_nodes)
+    x = apply(m.matvec(b))
+    assert x.shape == b.shape
+    assert np.max(np.abs(x - b)) <= 1e-12 * np.max(np.abs(b))
+    assert np.linalg.norm(m.matvec(apply(b)) - b) / np.linalg.norm(b) <= 1e-14
+
+
+def test_mass_inverse_of_a_long_axis_builds_in_linear_time_and_memory():
+    # a dense inverse of the 2,000-node axis took 0.61 s and 64 MB to build
+    mesh = build_structured_mesh(2, ((0.0, 1999.0), (0.0, 1.0)), (1999, 1), 0)
+    plan = AssemblyPlan(mesh)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        mass_inverse(plan)
+        seconds.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        mass_inverse(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert min(seconds) < 0.01
+    assert peak < 1_000_000
 
 
 KERNEL_MESHES = {

@@ -291,10 +291,11 @@ def test_vtk_bytes_match_the_per_line_reference(tmp_path, dim, cells, lower, bre
     assert path.read_bytes() == _reference_vtk_text(state).encode("ascii")
 
 
-def _record(time, fp=3, breakdown=0, warnings=(), sweep_residuals=(), factored=(0, 0)):
+def _record(time, fp=3, breakdown=0, warnings=(), sweep_residuals=(), factored=(0, 0),
+            substituted=(0, 0)):
     return StepRecord(
         time, 0.31, 0.0, 1.0, 0.5, 0.5, 0.0, 3.1, 390.0, 0.7, fp, breakdown,
-        warnings, sweep_residuals, factored,
+        warnings, sweep_residuals, factored, substituted,
     )
 
 
@@ -331,8 +332,9 @@ def test_events_jsonl_lines_per_step(tmp_path):
     records = [
         _record(0.0, fp=0),
         _record(1.0, fp=2, warnings=("oscillation:u",), sweep_residuals=history,
-                factored=(1, 2)),
-        _record(2.0, fp=1, breakdown=1, warnings=("breakdown",), factored=(0, 1)),
+                factored=(1, 2), substituted=(5, 4)),
+        _record(2.0, fp=1, breakdown=1, warnings=("breakdown",), factored=(0, 1),
+                substituted=(3, 1)),
         _record(3.0),
     ]
     write_events_jsonl(records, path)
@@ -341,7 +343,7 @@ def test_events_jsonl_lines_per_step(tmp_path):
     assert events == [
         {"time": 1.0, "fp_iters": 2, "warnings": ["oscillation:u"],
          "sweep_residuals": [list(r) for r in history],
-         "band_factorizations": {"u": 1, "c": 2}},
+         "band_factorizations": {"u": 1, "c": 2}, "band_substitutions": {"u": 5, "c": 4}},
         {"time": 2.0, "fp_iters": 1, "warnings": ["breakdown"], "sweep_residuals": [],
-         "band_factorizations": {"u": 0, "c": 1}},
+         "band_factorizations": {"u": 0, "c": 1}, "band_substitutions": {"u": 3, "c": 1}},
     ]

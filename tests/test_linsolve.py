@@ -168,6 +168,27 @@ def spy_on_band(monkeypatch):
     return calls
 
 
+def spy_on_substitutions(monkeypatch):
+    """Count the solves from band factors by either route: a ``dgbtrs``
+    call, or the pair of BLAS triangular solves, counted at its L solve.
+    Returns the lists of the two routes' calls; the calls still solve."""
+    routes = {"dgbtrs": [], "triangles": []}
+    dgbtrs, dtbsv = linsolve.lapack.dgbtrs, linsolve.blas.dtbsv
+
+    def counted_dgbtrs(*args, **kwargs):
+        routes["dgbtrs"].append(1)
+        return dgbtrs(*args, **kwargs)
+
+    def counted_dtbsv(*args, **kwargs):
+        if kwargs.get("lower"):
+            routes["triangles"].append(1)
+        return dtbsv(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve.lapack, "dgbtrs", counted_dgbtrs)
+    monkeypatch.setattr(linsolve.blas, "dtbsv", counted_dtbsv)
+    return routes
+
+
 def forbid(monkeypatch, module, name):
     def forbidden(*args, **kwargs):
         raise AssertionError(f"this solve should not reach {name}")
@@ -305,19 +326,108 @@ def test_held_factors_of_a_far_matrix_are_replaced(monkeypatch):
     factored = spy_on_band(monkeypatch)
     band = BandLU()
     x = solve(a, b, band=band)
-    substitutions = []
-    dgbtrs = linsolve.lapack.dgbtrs
-
-    def counted(*args, **kwargs):
-        substitutions.append(1)
-        return dgbtrs(*args, **kwargs)
-
-    monkeypatch.setattr(linsolve.lapack, "dgbtrs", counted)
+    routes = spy_on_substitutions(monkeypatch)
     y = solve(doubled, b, x0=x, band=band)
     assert relative_residual(doubled, y, b) <= 1e-12
     assert len(factored) == band.factorizations == 2
     # the first refinement step stalls, and the new factors solve once
-    assert len(substitutions) == 2
+    substitutions = routes["dgbtrs"] + routes["triangles"]
+    assert len(substitutions) == band.substitutions - 1 == 2
+
+
+def _c_system_2d():
+    """The 32^2 c system M + 0.5 W(p), with a protease bump p."""
+    mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (32, 32), 0)
+    plan = AssemblyPlan(mesh)
+    p = np.exp(-np.sum(mesh.node_coords**2, axis=1) / 25.0)
+    return combine([
+        (1.0, assemble_mass(mesh, plan)), (0.5, assemble_weighted_mass(mesh, p, plan))
+    ])
+
+
+def lapack_band(a: DiaMatrix):
+    """LAPACK's band array of a (with the kl rows of room for fill-in), built
+    from the dense matrix, and its kl and ku."""
+    full = dense(a)
+    rows, cols = np.nonzero(full)
+    kl = int(np.max(rows - cols))
+    ku = int(np.max(cols - rows))
+    ab = np.zeros((2 * kl + ku + 1, a.n), order="F")
+    ab[kl + ku + rows - cols, cols] = full[rows, cols]
+    return ab, kl, ku
+
+
+@pytest.mark.parametrize(
+    "system", [_u_system_2d, _c_system_2d, lambda: _u_system((8, 8, 8))],
+    ids=["u-32x32", "c-32x32", "u-8x8x8"],
+)
+def test_kernel_triangular_solves_equal_dgbtrs_bit_for_bit(monkeypatch, system):
+    # without row interchanges the BLAS triangular solves of L and U make
+    # the operations of dgbtrs in its order, so they return its bits
+    a = system()
+    ab, kl, ku = lapack_band(a)
+    lu, ipiv, info = lapack.dgbtrf(ab, kl, ku)
+    assert info == 0 and np.array_equal(ipiv, np.arange(a.n))  # no interchange
+    assert kl >= linsolve.REFINE_MIN_KL
+    rng = np.random.default_rng(12)
+    rhs = [rng.standard_normal(a.n) for _ in range(4)]
+    oracle = [lapack.dgbtrs(lu, kl, ku, b, ipiv)[0] for b in rhs]
+    routes = spy_on_substitutions(monkeypatch)
+    band = BandLU()
+    # the solve after factoring, then solves from the held factors: from a
+    # zero start one refinement step, x = 0 + LU^-1 b, meets tol_lin
+    solved = [solve(a, rhs[0], band=band)]
+    solved += [solve(a, b, x0=np.zeros(a.n), band=band) for b in rhs[1:]]
+    assert [x.tobytes() for x in solved] == [x.tobytes() for x in oracle]
+    assert band.factorizations == 1
+    assert len(routes["triangles"]) == band.substitutions == len(rhs)
+    assert routes["dgbtrs"] == []
+
+
+def test_pivoted_band_factors_refine_through_dgbtrs(monkeypatch):
+    # a band of half-widths 24 whose diagonal is small against the rest of
+    # its row, so that dgbtrf interchanges rows: its L is no plain band, and
+    # every solve from its factors takes dgbtrs
+    n, k = 300, 24
+    rng = np.random.default_rng(13)
+    i, j = np.indices((n, n))
+    full = np.where(np.abs(i - j) <= k, rng.uniform(-1.0, 1.0, (n, n)), 0.0)
+    np.fill_diagonal(full, 1e-3 * np.diag(full))
+    a = dia(full)
+    _, ipiv, info = lapack.dgbtrf(*lapack_band(a))
+    assert info == 0 and not np.array_equal(ipiv, np.arange(n))
+    shifted = a.data.copy()
+    shifted[a.offsets == 0] += 1e-9
+    nearby = DiaMatrix(n, a.offsets, shifted)  # same offsets: the factors are kept
+    b = rng.standard_normal(n)
+    routes = spy_on_substitutions(monkeypatch)
+    band = BandLU()
+    x = solve(a, b, band=band)
+    y = solve(nearby, b, x0=x, band=band)
+    assert band.kl >= linsolve.REFINE_MIN_KL
+    assert band.factorizations == 1  # the second solve was refined
+    assert len(routes["dgbtrs"]) == band.substitutions >= 2
+    assert routes["triangles"] == []
+    assert relative_residual(a, x, b) <= 1e-12
+    assert relative_residual(nearby, y, b) <= 1e-12
+
+
+def test_refinement_from_held_factors_allocates_no_band_array():
+    # the triangular solves read the factors in place: a refined 32^2 solve
+    # allocates a few vectors, where the band array takes 103 of them
+    a, nearby = _u_systems_2d([1.0, 1.0 + 1e-3])
+    b = np.random.default_rng(14).standard_normal(a.n)
+    band = BandLU()
+    x = solve(a, b, band=band)
+    tracemalloc.start()
+    try:
+        y = solve(nearby, b, x0=x, band=band)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert band.factorizations == 1 and band.substitutions >= 2
+    assert relative_residual(nearby, y, b) <= 1e-12
+    assert peak <= 8 * a.n * 8, peak
 
 
 # one cell along an axis other than the last: two neighbour offsets share a
@@ -340,12 +450,7 @@ def test_band_solve_without_holder_equals_dgbsv(system):
     # array from the dense matrix
     a = system()
     b = np.random.default_rng(9).standard_normal(a.n)
-    full = dense(a)
-    rows, cols = np.nonzero(full)
-    kl = int(np.max(rows - cols))
-    ku = int(np.max(cols - rows))
-    ab = np.zeros((2 * kl + ku + 1, a.n), order="F")
-    ab[kl + ku + rows - cols, cols] = full[rows, cols]
+    ab, kl, ku = lapack_band(a)
     _, _, oracle, info = lapack.dgbsv(kl, ku, ab, b)
     assert info == 0
     assert solve(a, b).tobytes() == oracle.tobytes()

@@ -105,6 +105,13 @@ def cmd_run(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    params = config.params
+    ringing = params.ringing_number
+    if ringing > 1.0:
+        # p^(n+1) (1 + theta dt / epsilon) = (1 - ringing) p^n without sources
+        factor = (1.0 - ringing) / (1.0 + params.theta * params.dt / params.epsilon)
+        print(f"note: ringing number (1 - theta) dt / epsilon = {ringing:g} exceeds 1, "
+              f"so p rings with factor {factor:.3g} per step", file=sys.stderr)
     code, _ = run_and_emit(config)
     if code == EXIT_OK:
         print(f"completed {config.n_steps} steps to t = {config.params.t_final:g}; "

@@ -93,6 +93,16 @@ class Parameters:
         return int(round(ratio))
 
     @property
+    def ringing_number(self) -> float:
+        """(1 - theta) dt / epsilon, the explicit share of the protease decay.
+
+        Above 1 the old protease enters the update with the negative weight
+        1 - (1 - theta) dt / epsilon, so p rings from step to step and the
+        matrix maximum can grow although the continuous model forbids it.
+        """
+        return (1.0 - self.theta) * self.dt / self.epsilon
+
+    @property
     def n_steps(self) -> int:
         """The number of steps to t_final; see :meth:`steps_to`."""
         return self.steps_to(self.t_final, "t_final")

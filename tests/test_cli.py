@@ -141,6 +141,19 @@ def test_run_defaults_without_config_flag(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("theta, err", [
+    (0.5, "note: ringing number (1 - theta) dt / epsilon = 2.5 exceeds 1, "
+          "so p rings with factor -0.429 per step\n"),
+    (1.0, ""),
+], ids=["theta0.5", "theta1"])
+def test_run_states_a_ringing_number_above_one_once(tmp_path, capsys, theta, err):
+    code = cli.main(["run", "--set", "refinements=1", "--set", "t_final=2",
+                     "--set", "snapshots=1", "--set", f"theta={theta}",
+                     "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err == err
+
+
 def test_run_config_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "theta = 1.5\n")
     code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])

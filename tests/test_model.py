@@ -55,6 +55,13 @@ def test_parameter_defaults_match_documented_setup():
     assert p.max_fp_iters == 100
 
 
+def test_ringing_number_is_the_explicit_share_of_the_protease_decay():
+    # the default scheme weights the old protease by 1 - 2.5 = -1.5
+    assert Parameters().ringing_number == 2.5
+    assert Parameters(theta=1.0).ringing_number == 0.0
+    assert Parameters(theta=0.0, dt=0.1, epsilon=0.2).ringing_number == 0.5
+
+
 def test_initial_data_at_origin_and_far_field():
     data = corner_gaussian_initial_data()
     origin = np.zeros(2)

@@ -371,10 +371,56 @@ def test_beta_independence_on_small_invasion_problem():
 
 def test_peaks_config_keeps_its_sweep_counts():
     # on the published-peaks configuration the sweep takes these sweeps per
-    # step to t = 5
+    # step to t = 5; from step 2 on it starts at the extrapolated level,
+    # which gave [7, 8, 6, 6, 6] when every step started at the old level
     config = iocfg.parse_config("mu = 1e-10\nchi = 0.01\nt_final = 5\nsnapshots =\n")
     result = run(config)
-    assert [r.fp_iters for r in result.diagnostics[1:]] == [7, 8, 6, 6, 6]
+    assert [r.fp_iters for r in result.diagnostics[1:]] == [7, 8, 7, 6, 6]
+
+
+def test_published_peaks_run_keeps_its_sweep_total():
+    # all 50 steps; 246 sweeps when every step started at the old level
+    config = iocfg.parse_config("mu = 1e-10\nchi = 0.01\nsnapshots =\n")
+    result = run(config)
+    assert len(result.diagnostics) == 51
+    assert sum(r.fp_iters for r in result.diagnostics) == 224
+
+
+def small_invasion_state():
+    mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (1, 1), 3)
+    from haptosim.model import corner_gaussian_initial_data
+
+    return interpolate_initial_state(corner_gaussian_initial_data(), mesh)
+
+
+def test_steps_after_the_first_start_from_the_extrapolated_level(monkeypatch):
+    calls = []  # the old level and a copy of the start of each step
+    advance = stepper.fixed_point_advance
+
+    def spy(state, params, ops, start=None):
+        calls.append((state, None if start is None else start.copy()))
+        return advance(state, params, ops, start=start)
+
+    monkeypatch.setattr(stepper, "fixed_point_advance", spy)
+    state0 = small_invasion_state()
+    result = simulate(state0, Parameters(chi=0.01, mu=0.5, t_final=4.0))
+    assert result.breakdown is None
+    assert len(calls) == 4
+    assert calls[0][0] is state0 and calls[0][1] is None
+    # step n + 1 gets 2 x^n - x^(n-1), stacked as (u, c, p), of the committed levels
+    for (last, _), (now, start) in zip(calls, calls[1:]):
+        expected = [2.0 * getattr(now, f).coeffs - getattr(last, f).coeffs for f in "ucp"]
+        np.testing.assert_array_equal(start, np.concatenate(expected))
+
+
+def test_one_step_run_commits_the_sweep_from_the_old_level():
+    state0 = small_invasion_state()
+    params = Parameters(chi=0.01, mu=0.5, t_final=1.0)
+    direct, _ = fixed_point_advance(state0, params, Operators(state0.mesh))
+    result = simulate(state0, params, ops=Operators(state0.mesh))
+    for name in "ucp":
+        np.testing.assert_array_equal(getattr(result.state, name).coeffs,
+                                      getattr(direct, name).coeffs)
 
 
 EQUAL_RATES_TO_5 = "mu = 1\nchi = 1\nt_final = 5\nsnapshots =\n"
@@ -756,8 +802,8 @@ def test_form_calls_per_sweep(monkeypatch, chi, mu, theta):
     """The assembly calls per sweep that the benchmark's traced run counts.
 
     perfbench/tracing.py wraps these module attributes, and perfbench/checks.py
-    expects per sweep two weighted masses if mu != 0 (else one), a haptotaxis
-    matrix if chi != 0 and a product load, and the same once more per step
+    expects per sweep two weighted masses, a haptotaxis matrix if chi != 0
+    and a product load, and the same once more per step
     for the explicit side when theta < 1; building the operators makes none.
     The forms add straight into the u system, so the sweep calls no combine.
     """
@@ -791,7 +837,7 @@ def test_form_calls_per_sweep(monkeypatch, chi, mu, theta):
     assert steps == 3
     assert calls == {
         "AssemblyPlan": 1,
-        "assemble_weighted_mass": 2 * n if mu != 0.0 else n,
+        "assemble_weighted_mass": 2 * n,
         "assemble_haptotaxis": n if chi != 0.0 else 0,
         "assemble_product_load": n,
         "combine": 0,  # W and B add into the u system, W(1 + dtf p) is the c system

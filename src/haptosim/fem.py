@@ -35,7 +35,8 @@ from .mesh import FeField, StructuredMesh
 
 
 class AssemblyError(ValueError):
-    """Degenerate element geometry or invalid coefficient data."""
+    """Coefficient data from another mesh, of the wrong length or not
+    finite; the mesh geometry is validated where the mesh is built."""
 
 
 def _coefficients(values, mesh, name) -> np.ndarray:
@@ -191,7 +192,7 @@ class AssemblyPlan:
     def __init__(self, mesh: StructuredMesh):
         self.mesh = mesh
         dim = mesh.dim
-        nodes = mesh.axis_nodes()[::-1]
+        nodes = mesh.axis_nodes[::-1]
         self.grid = tuple(x.size for x in nodes)
         # per array axis, z (3D) or y first
         self.tables, self.mass_bands, self.stiff_bands = zip(*map(_axis_integrals, nodes))

@@ -250,7 +250,7 @@ def write_vtk(state: SimState, path) -> None:
     # each node's coordinates are those of its axes, so each axis coordinate
     # is printed once; rows join them with the first axis fastest, and z is
     # 0.0 in 2D
-    axes = [list(map(repr, x.tolist())) for x in mesh.axis_nodes()] + [["0.0"]]
+    axes = [list(map(repr, x.tolist())) for x in mesh.axis_nodes] + [["0.0"]]
     points = axes[0]
     for axis in axes[1:3]:
         points = [f"{row} {a}" for a in axis for row in points]
@@ -262,7 +262,7 @@ def write_vtk(state: SimState, path) -> None:
         f"POINTS {n_nodes} double",
         "\n".join(points),
         f"CELLS {n_cells} {n_cells * (npe + 1)}",
-        _format_rows(f"{npe}" + " %d" * npe, mesh.elements),
+        _format_rows(f"{npe}" + " %d" * npe, mesh.elements()),
         f"CELL_TYPES {n_cells}",
         "\n".join([str(_VTK_CELL_TYPE[mesh.dim])] * n_cells),
         f"POINT_DATA {n_nodes}",

@@ -1,5 +1,9 @@
 """Structured quadrilateral/hexahedral meshes on axis-aligned boxes.
 
+A mesh is its axes: it holds the node coordinates along each axis and the
+node and element counts.  The node coordinates and the connectivity are
+derived from the axes when asked for, by one formula in 2D and 3D.
+
 Node numbering is lexicographic with the first axis running fastest.  The
 local vertex ordering of every element is fixed:
 
@@ -14,6 +18,7 @@ oracle in :mod:`haptosim.verify` and the VTK quad/hexahedron conventions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,21 +34,19 @@ class InterpolationError(ValueError):
 
 @dataclass(frozen=True)
 class StructuredMesh:
-    """Uniform tensor-product mesh of an axis-aligned box."""
+    """Uniform tensor-product mesh of an axis-aligned box.
+
+    ``axis_nodes`` holds the read-only node coordinates along each axis,
+    first axis first: node (i_1, ..., i_dim) sits at the i_d-th coordinate
+    of each axis d.
+    """
 
     dim: int
     extents: tuple[tuple[float, float], ...]
     cells_per_axis: tuple[int, ...]
-    node_coords: np.ndarray  # (n_nodes, dim)
-    elements: np.ndarray     # (n_elements, 2**dim), int64
-
-    @property
-    def n_nodes(self) -> int:
-        return self.node_coords.shape[0]
-
-    @property
-    def n_elements(self) -> int:
-        return self.elements.shape[0]
+    axis_nodes: tuple[np.ndarray, ...]
+    n_nodes: int
+    n_elements: int
 
     @property
     def nodes_per_element(self) -> int:
@@ -61,26 +64,24 @@ class StructuredMesh:
             vol *= hi - lo
         return vol
 
-    def element_sizes(self) -> np.ndarray:
-        """Per-element edge lengths, shape (n_elements, dim).
+    def node_coords(self) -> np.ndarray:
+        """A new (n_nodes, dim) array of the node coordinates."""
+        # on the grid with the last axis first, the first axis runs fastest
+        grids = np.meshgrid(*self.axis_nodes[::-1], indexing="ij", copy=False)
+        return np.stack(grids[::-1], axis=-1).reshape(self.n_nodes, self.dim)
 
-        Computed from the coordinates of the lower corner (local vertex 0)
-        and the diagonally opposite corner (local vertex 2 in 2D, 6 in 3D).
-        """
-        opposite = 2 if self.dim == 2 else 6
-        lo = self.node_coords[self.elements[:, 0]]
-        hi = self.node_coords[self.elements[:, opposite]]
-        return hi - lo
-
-    def axis_nodes(self) -> list[np.ndarray]:
-        """The node coordinates along each axis, first axis first: node
-        (i_1, ..., i_dim) sits at the i_d-th coordinate of each axis d."""
-        coords = []
-        stride = 1
-        for d, nc in enumerate(self.cells_per_axis):
-            coords.append(self.node_coords[np.arange(nc + 1) * stride, d])
-            stride *= nc + 1
-        return coords
+    def elements(self) -> np.ndarray:
+        """A new (n_elements, 2**dim) int64 array of each element's nodes
+        in the local vertex ordering: its lower corner node plus the offset
+        of each corner."""
+        nv = [nc + 1 for nc in self.cells_per_axis]
+        # node numbers on their grid, last axis first; a lower corner is
+        # a node that is last along no axis
+        grid = np.arange(self.n_nodes, dtype=np.int64).reshape(nv[::-1])
+        lower = grid[(slice(-1),) * self.dim].ravel()
+        quad = np.array([0, 1, 1 + nv[0], nv[0]])
+        corners = quad if self.dim == 2 else np.concatenate([quad, quad + nv[0] * nv[1]])
+        return lower[:, None] + corners
 
 
 @dataclass
@@ -130,37 +131,13 @@ def build_structured_mesh(dim, extents, base_cells_per_axis, refinements=0):
         raise MeshError(f"refinements must be >= 0, got {refinements}")
 
     cells = tuple(b * 2**refinements for b in base)
-    axes = [np.linspace(lo, hi, nc + 1) for (lo, hi), nc in zip(extents, cells)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    # ravel with the first axis fastest
-    coords = np.column_stack([g.ravel(order="F") for g in grids])
-
-    nv = [nc + 1 for nc in cells]
-    if dim == 2:
-        nx, ny = cells
-        ex, ey = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        ex = ex.ravel(order="F")
-        ey = ey.ravel(order="F")
-        n00 = ex + nv[0] * ey
-        elements = np.column_stack([n00, n00 + 1, n00 + 1 + nv[0], n00 + nv[0]])
-    else:
-        nx, ny, nz = cells
-        ex, ey, ez = np.meshgrid(
-            np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-        )
-        ex = ex.ravel(order="F")
-        ey = ey.ravel(order="F")
-        ez = ez.ravel(order="F")
-        n000 = ex + nv[0] * (ey + nv[1] * ez)
-        sx, sxy = nv[0], nv[0] * nv[1]
-        bottom = [n000, n000 + 1, n000 + 1 + sx, n000 + sx]
-        elements = np.column_stack(bottom + [b + sxy for b in bottom])
-
-    coords = np.ascontiguousarray(coords, dtype=float)
-    elements = np.ascontiguousarray(elements, dtype=np.int64)
-    coords.flags.writeable = False
-    elements.flags.writeable = False
-    return StructuredMesh(dim, extents, cells, coords, elements)
+    axis_nodes = tuple(np.linspace(lo, hi, nc + 1) for (lo, hi), nc in zip(extents, cells))
+    for x in axis_nodes:
+        x.flags.writeable = False
+    return StructuredMesh(
+        dim, extents, cells, axis_nodes,
+        math.prod(nc + 1 for nc in cells), math.prod(cells),
+    )
 
 
 def interpolate(f, mesh: StructuredMesh) -> FeField:
@@ -170,13 +147,14 @@ def interpolate(f, mesh: StructuredMesh) -> FeField:
     and returns the n_nodes nodal values, or one scalar for every node; all
     of them must be finite.
     """
-    values = np.asarray(f(mesh.node_coords), dtype=float)
+    coords = mesh.node_coords()
+    values = np.asarray(f(coords), dtype=float)
     values = np.broadcast_to(values, (mesh.n_nodes,)).copy()
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = bad[0]
         raise InterpolationError(
             f"function returned non-finite value {values[i]} at node {i}, "
-            f"x={tuple(mesh.node_coords[i])}"
+            f"x={tuple(coords[i])}"
         )
     return FeField(mesh, values)

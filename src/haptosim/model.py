@@ -116,7 +116,6 @@ class InitialData:
     scalar for all of them.
     """
 
-    name: str
     u0: Callable
     c0: Callable
     p0: Callable
@@ -141,7 +140,6 @@ def corner_gaussian_initial_data() -> InitialData:
     with protease proportional to the cell density.
     """
     return InitialData(
-        "corner-gaussian",
         _gaussian,
         lambda x: 1.0 - 0.5 * _gaussian(x),
         lambda x: 0.5 * _gaussian(x),
@@ -241,7 +239,6 @@ def rescale_to_unit_chi_eps(params: Parameters, extents, initial: InitialData):
     new_extents = tuple((lo / root, hi / root) for lo, hi in extents)
     u0, c0, p0 = initial.u0, initial.c0, initial.p0
     new_initial = InitialData(
-        initial.name,
         lambda x: u0(root * np.asarray(x, dtype=float)),
         lambda x: eps * c0(root * np.asarray(x, dtype=float)),
         lambda x: eps * p0(root * np.asarray(x, dtype=float)),

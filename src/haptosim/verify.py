@@ -91,9 +91,7 @@ def ode_oracle(params: Parameters, y0, t_end, substeps) -> OdeTrajectory:
 
 
 def constant_initial_data(u0: float, c0: float, p0: float) -> InitialData:
-    return InitialData(
-        "constant", lambda x: u0, lambda x: c0, lambda x: p0
-    )
+    return InitialData(lambda x: u0, lambda x: c0, lambda x: p0)
 
 
 @dataclass(frozen=True)
@@ -343,7 +341,7 @@ def element_form(assemble, sizes, *coefficients) -> np.ndarray:
     one; ``coefficients`` are nodal values in local order."""
     dim = len(sizes)
     mesh = build_structured_mesh(dim, [(0.0, s) for s in sizes], (1,) * dim, 0)
-    local = mesh.elements[0]  # local-to-global map, e.g. [0, 1, 3, 2] in 2D
+    local = mesh.elements()[0]  # local-to-global map, e.g. [0, 1, 3, 2] in 2D
     nodal = []
     for values in coefficients:
         v = np.empty(mesh.n_nodes)

@@ -205,8 +205,7 @@ def test_assembled_stiffness_rows_sum_to_zero():
 def _brute_force_scatter(mesh, element_matrices):
     n = mesh.n_nodes
     dense = np.zeros((n, n))
-    for e, mat in enumerate(element_matrices):
-        idx = mesh.elements[e]
+    for idx, mat in zip(mesh.elements(), element_matrices):
         for j, gj in enumerate(idx):
             for i, gi in enumerate(idx):
                 dense[gj, gi] += mat[j, i]
@@ -235,15 +234,23 @@ def _oracle_unit_forms(name, size):
     return np.array([oracle_form(name, np.array(size), e) for e in unit])
 
 
+def _element_sizes(mesh):
+    """Each element's edge lengths, from the coordinates of its lower corner
+    (local vertex 0) to those of the diagonally opposite one (local vertex 2
+    in 2D, 6 in 3D)."""
+    coords, elements = mesh.node_coords(), mesh.elements()
+    return coords[elements[:, 2 if mesh.dim == 2 else 6]] - coords[elements[:, 0]]
+
+
 def _brute_force_form(mesh, name, *coefficients):
-    sizes = mesh.element_sizes()
+    sizes = _element_sizes(mesh)
     if not coefficients:
         return _brute_force_scatter(mesh, [oracle_form(name, s) for s in sizes])
     # the element forms are linear in the element's coefficients
     (v,) = coefficients
     return _brute_force_scatter(mesh, [
-        np.tensordot(v[mesh.elements[e]], _oracle_unit_forms(name, tuple(sizes[e])), axes=1)
-        for e in range(mesh.n_elements)
+        np.tensordot(v[idx], _oracle_unit_forms(name, tuple(size)), axes=1)
+        for idx, size in zip(mesh.elements(), sizes)
     ])
 
 
@@ -278,11 +285,9 @@ def test_assembled_load_matches_brute_force():
         mesh = build_structured_mesh(dim, extents, cells, 0)
         a = rng.uniform(-1, 1, mesh.n_nodes)
         b = rng.uniform(-1, 1, mesh.n_nodes)
-        sizes = mesh.element_sizes()
         ref = np.zeros(mesh.n_nodes)
-        for e in range(mesh.n_elements):
-            idx = mesh.elements[e]
-            ref[idx] += oracle_form("load", sizes[e], a[idx], b[idx])
+        for idx, size in zip(mesh.elements(), _element_sizes(mesh)):
+            ref[idx] += oracle_form("load", size, a[idx], b[idx])
         assert np.max(np.abs(assemble_product_load(mesh, a, b) - ref)) < 1e-14, cells
 
 
@@ -290,7 +295,7 @@ def test_sparsity_pattern_is_element_adjacency():
     mesh = build_structured_mesh(2, ((0.0, 1.0), (0.0, 1.0)), (2, 2), 0)
     m = dense(assemble_mass(mesh))
     adjacent = set()
-    for elem in mesh.elements:
+    for elem in mesh.elements():
         for j in elem:
             for i in elem:
                 adjacent.add((int(j), int(i)))

@@ -41,7 +41,11 @@ def test_empty_config_gives_documented_defaults():
     assert cfg.params.beta == 0.5
     assert cfg.params.tol_fp == 1e-8
     assert cfg.snapshots == (5.0, 15.0, 25.0, 35.0)
-    assert cfg.initial_data().name == "corner-gaussian"
+    # the corner Gaussian: u0 = 1 and c0 = p0 = 0.5 at the origin
+    initial, origin = cfg.initial_data(), np.zeros((1, 2))
+    assert [f(origin).tolist() for f in (initial.u0, initial.c0, initial.p0)] == [
+        [1.0], [0.5], [0.5]
+    ]
     cfg.build_mesh()  # defaults build the reference 33x33 grid
     assert cfg.n_steps == 50
 
@@ -214,7 +218,7 @@ def test_vtk_round_trip_values(tmp_path):
     path = tmp_path / "values.vtk"
     write_vtk(state, path)
     points, arrays = check_vtk_file(path)
-    np.testing.assert_array_equal(points[:, :2], mesh.node_coords)
+    np.testing.assert_array_equal(points[:, :2], mesh.node_coords())
     np.testing.assert_array_equal(arrays["u"], fields[0])
     np.testing.assert_array_equal(arrays["c"], fields[1])
     np.testing.assert_array_equal(arrays["p"], fields[2])
@@ -248,12 +252,12 @@ def _reference_vtk_text(state) -> str:
         title += " [breakdown artifact]"
     lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
              f"POINTS {mesh.n_nodes} double"]
-    for x in mesh.node_coords:
+    for x in mesh.node_coords():
         coords = list(x) + [0.0] * (3 - mesh.dim)
         lines.append(" ".join(repr(float(c)) for c in coords))
     npe = mesh.nodes_per_element
     lines.append(f"CELLS {mesh.n_elements} {mesh.n_elements * (npe + 1)}")
-    for elem in mesh.elements:
+    for elem in mesh.elements():
         lines.append(f"{npe} " + " ".join(str(i) for i in elem))
     lines.append(f"CELL_TYPES {mesh.n_elements}")
     lines.extend(str({2: 9, 3: 12}[mesh.dim]) for _ in range(mesh.n_elements))

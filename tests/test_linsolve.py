@@ -134,7 +134,7 @@ def _u_system(cells, lengths=None):
     lengths = lengths or cells
     mesh = build_structured_mesh(len(cells), [(0.0, float(n)) for n in lengths], cells, 0)
     plan = AssemblyPlan(mesh)
-    c = 1.0 - 0.5 * np.exp(-np.sum(mesh.node_coords**2, axis=1) / 25.0)
+    c = 1.0 - 0.5 * np.exp(-np.sum(mesh.node_coords()**2, axis=1) / 25.0)
     return combine([
         (1.0, assemble_mass(mesh, plan)),
         (0.5, assemble_stiffness(mesh, plan)),
@@ -266,7 +266,7 @@ def _u_systems_2d(weights):
     """32^2 u systems W(w) + 0.5 K - 0.5 B(c) on one plan, one per weight w."""
     mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (32, 32), 0)
     plan = AssemblyPlan(mesh)
-    bump = np.exp(-np.sum(mesh.node_coords**2, axis=1) / 25.0)
+    bump = np.exp(-np.sum(mesh.node_coords()**2, axis=1) / 25.0)
     stiffness = assemble_stiffness(mesh, plan)
     drift = assemble_haptotaxis(mesh, 1.0 - 0.5 * bump, plan)
     return [
@@ -339,7 +339,7 @@ def _c_system_2d():
     """The 32^2 c system M + 0.5 W(p), with a protease bump p."""
     mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (32, 32), 0)
     plan = AssemblyPlan(mesh)
-    p = np.exp(-np.sum(mesh.node_coords**2, axis=1) / 25.0)
+    p = np.exp(-np.sum(mesh.node_coords()**2, axis=1) / 25.0)
     return combine([
         (1.0, assemble_mass(mesh, plan)), (0.5, assemble_weighted_mass(mesh, p, plan))
     ])

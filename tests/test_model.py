@@ -92,7 +92,7 @@ def test_corner_gaussian_nodes_equal_the_per_point_formula(dim):
     # and fusion of its operations; the profiles take all nodes at once
     mesh = build_structured_mesh(dim, [(-1.3, 2.9)] * dim, (3,) * dim, 2)
     state = interpolate_initial_state(corner_gaussian_initial_data(), mesh)
-    gauss = np.array([math.exp(-float(np.dot(x, x))) for x in mesh.node_coords])
+    gauss = np.array([math.exp(-float(np.dot(x, x))) for x in mesh.node_coords()])
     assert state.u.coeffs.tobytes() == gauss.tobytes()
     assert state.c.coeffs.tobytes() == np.array([1.0 - 0.5 * g for g in gauss]).tobytes()
     assert state.p.coeffs.tobytes() == np.array([0.5 * g for g in gauss]).tobytes()
@@ -100,7 +100,7 @@ def test_corner_gaussian_nodes_equal_the_per_point_formula(dim):
 
 def test_interpolate_initial_state_warns_on_negative_data():
     mesh = build_structured_mesh(2, UNIT, (1, 1), 0)
-    data = InitialData("bad", lambda x: -1.0, lambda x: 1.0, lambda x: 0.0)
+    data = InitialData(lambda x: -1.0, lambda x: 1.0, lambda x: 0.0)
     with pytest.warns(NonnegativityWarning):
         state = interpolate_initial_state(data, mesh)
     assert state.t == 0.0

@@ -17,10 +17,9 @@ from .iocfg import RunConfig, parse_config, render_config, write_diagnostics_csv
 from .linsolve import DiaMatrix, SolverFailure, solve
 from .mesh import FeField, StructuredMesh, build_structured_mesh, interpolate
 from .model import (
-    InitialData,
     Parameters,
     SimState,
-    corner_gaussian_initial_data,
+    corner_gaussian,
     interpolate_initial_state,
     rescale_to_unit_chi_eps,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "DiaMatrix",
     "FeField",
     "FixedPointReport",
-    "InitialData",
     "NonconvergenceError",
     "Operators",
     "Parameters",
@@ -65,7 +63,7 @@ __all__ = [
     "assemble_stiffness",
     "assemble_weighted_mass",
     "build_structured_mesh",
-    "corner_gaussian_initial_data",
+    "corner_gaussian",
     "element_matrix_crosscheck",
     "fixed_point_advance",
     "interpolate",

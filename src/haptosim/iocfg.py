@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model
 from .mesh import StructuredMesh, build_structured_mesh
-from .model import InitialData, Parameters, SimState
+from .model import Parameters, SimState
 
 # the model and scheme constants are the fields of Parameters, in its order
 CONFIG_KEYS = (
@@ -30,6 +30,8 @@ CONFIG_KEYS = (
 DIAGNOSTICS_HEADER = (
     "time,max_u,min_u,max_c,min_c,max_p,min_p,mass_u,mass_c,mass_p,fp_iters,breakdown"
 )
+
+_INT_COLUMNS = ("fp_iters", "breakdown")  # the other columns are floats
 
 _VTK_CELL_TYPE = {2: 9, 3: 12}  # quad, hexahedron
 
@@ -56,8 +58,9 @@ class RunConfig:
             self.dim, self.extents, self.base_cells, self.refinements
         )
 
-    def initial_data(self) -> InitialData:
-        return model.corner_gaussian_initial_data()
+    def initial_data(self):
+        """The initial profile x -> (u0, c0, p0) of every run."""
+        return model.corner_gaussian
 
     @property
     def n_steps(self) -> int:
@@ -292,14 +295,9 @@ def write_diagnostics_csv(records, path) -> None:
         fh.write(DIAGNOSTICS_HEADER + "\n")
         for rec in records:
             row = [
-                repr(float(rec.time)),
-                repr(float(rec.max_u)), repr(float(rec.min_u)),
-                repr(float(rec.max_c)), repr(float(rec.min_c)),
-                repr(float(rec.max_p)), repr(float(rec.min_p)),
-                repr(float(rec.mass_u)), repr(float(rec.mass_c)),
-                repr(float(rec.mass_p)),
-                str(int(rec.fp_iters)),
-                str(int(rec.breakdown)),
+                str(int(getattr(rec, name))) if name in _INT_COLUMNS
+                else repr(float(getattr(rec, name)))
+                for name in DIAGNOSTICS_HEADER.split(",")
             ]
             fh.write(",".join(row) + "\n")
             if rec.breakdown:

@@ -58,12 +58,6 @@ class StructuredMesh:
             (hi - lo) / nc for (lo, hi), nc in zip(self.extents, self.cells_per_axis)
         )
 
-    def domain_volume(self) -> float:
-        vol = 1.0
-        for lo, hi in self.extents:
-            vol *= hi - lo
-        return vol
-
     def node_coords(self) -> np.ndarray:
         """A new (n_nodes, dim) array of the node coordinates."""
         # on the grid with the last axis first, the first axis runs fastest
@@ -140,6 +134,24 @@ def build_structured_mesh(dim, extents, base_cells_per_axis, refinements=0):
     )
 
 
+def nodal_values(values, coords, source="function") -> np.ndarray:
+    """A new array of the n_nodes nodal values of ``values``, an array of
+    them or one scalar for every node.
+
+    A non-finite value raises :class:`InterpolationError` naming ``source``,
+    the node and its coordinates ``coords[node]``.
+    """
+    values = np.broadcast_to(np.asarray(values, dtype=float), coords.shape[:1]).copy()
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise InterpolationError(
+            f"{source} returned non-finite value {values[i]} at node {i}, "
+            f"x={tuple(coords[i].tolist())}"
+        )
+    return values
+
+
 def interpolate(f, mesh: StructuredMesh) -> FeField:
     """Lagrange-interpolate a function into a nodal field.
 
@@ -148,13 +160,4 @@ def interpolate(f, mesh: StructuredMesh) -> FeField:
     of them must be finite.
     """
     coords = mesh.node_coords()
-    values = np.asarray(f(coords), dtype=float)
-    values = np.broadcast_to(values, (mesh.n_nodes,)).copy()
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = bad[0]
-        raise InterpolationError(
-            f"function returned non-finite value {values[i]} at node {i}, "
-            f"x={tuple(coords[i])}"
-        )
-    return FeField(mesh, values)
+    return FeField(mesh, nodal_values(f(coords), coords))

@@ -1,10 +1,14 @@
-"""Model constants, initial data and the exact parameter rescaling.
+"""Model constants, the initial profile and the exact parameter rescaling.
 
 The simulated system couples three fields on a box domain with zero-flux
 boundaries: cell density u (diffusion 1/alpha, haptotactic drift of strength
 chi up the gradient of the matrix density, logistic growth mu), matrix
 density c (degraded at rate p, no transport of its own), and protease p
 (produced where cells meet matrix and decaying, both on time scale epsilon).
+
+An initial profile is one function of the (n, dim) array of points that
+returns (u0, c0, p0), each the n values of its field or one scalar for all
+of them; the paper's runs start from :func:`corner_gaussian`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import FeField, StructuredMesh, interpolate
+from .mesh import FeField, StructuredMesh, nodal_values
 
 
 class ParameterError(ValueError):
@@ -108,19 +112,6 @@ class Parameters:
         return self.steps_to(self.t_final, "t_final")
 
 
-@dataclass(frozen=True)
-class InitialData:
-    """Initial profiles for the three fields.
-
-    Each maps an (n, dim) array of points to their n values, or to one
-    scalar for all of them.
-    """
-
-    u0: Callable
-    c0: Callable
-    p0: Callable
-
-
 def _gaussian(x) -> np.ndarray:
     """exp(-|x|^2) at each row of x.
 
@@ -132,18 +123,15 @@ def _gaussian(x) -> np.ndarray:
     return np.array([math.exp(-r) for r in squares.tolist()])
 
 
-def corner_gaussian_initial_data() -> InitialData:
+def corner_gaussian(x):
     """Gaussian cluster of cells seeded at the corner origin.
 
     u0 = exp(-|x|^2),  c0 = 1 - 0.5 exp(-|x|^2),  p0 = 0.5 exp(-|x|^2):
     the matrix is intact away from the seed and half degraded underneath it,
     with protease proportional to the cell density.
     """
-    return InitialData(
-        _gaussian,
-        lambda x: 1.0 - 0.5 * _gaussian(x),
-        lambda x: 0.5 * _gaussian(x),
-    )
+    g = _gaussian(x)
+    return g, 1.0 - 0.5 * g, 0.5 * g
 
 
 @dataclass
@@ -169,16 +157,22 @@ class SimState:
         return SimState(self.t, self.u.copy(), self.c.copy(), self.p.copy())
 
 
-def interpolate_initial_state(initial: InitialData, mesh: StructuredMesh) -> SimState:
-    """Nodal interpolation of the initial profiles, with a nonnegativity check.
+def interpolate_initial_state(profile, mesh: StructuredMesh) -> SimState:
+    """Nodal interpolation of an initial profile, with a nonnegativity check.
 
-    Negative nodal values only raise :class:`NonnegativityWarning`: runs with
-    out-of-theory data stay permitted.
+    ``profile`` is called once, with the (n_nodes, dim) array of node
+    coordinates, and returns (u0, c0, p0): each the n_nodes nodal values of
+    its field, or one scalar for every node.  A non-finite value raises
+    :class:`InterpolationError` naming its field.  Negative nodal values only
+    raise :class:`NonnegativityWarning`: runs with out-of-theory data stay
+    permitted.
     """
-    fields = {}
-    for name, f in (("u", initial.u0), ("c", initial.c0), ("p", initial.p0)):
-        fields[name] = interpolate(f, mesh)
-        worst = float(fields[name].coeffs.min())
+    coords = mesh.node_coords()
+    u, c, p = profile(coords)
+    fields = []
+    for name, values in (("u", u), ("c", c), ("p", p)):
+        coeffs = nodal_values(values, coords, f"initial profile of {name}")
+        worst = float(coeffs.min())
         if worst < 0.0:
             warnings.warn(
                 f"initial {name} is negative (min {worst:.3e}); "
@@ -186,7 +180,8 @@ def interpolate_initial_state(initial: InitialData, mesh: StructuredMesh) -> Sim
                 NonnegativityWarning,
                 stacklevel=2,
             )
-    return SimState(0.0, fields["u"], fields["c"], fields["p"])
+        fields.append(FeField(mesh, coeffs))
+    return SimState(0.0, *fields)
 
 
 @dataclass(frozen=True)
@@ -194,34 +189,23 @@ class RescaledProblem:
     """An equivalent problem with unit haptotactic rate and unit time scale.
 
     Positions map as  x_new = x / sqrt(chi),  times as  t_new = t / epsilon,
-    and the matrix/protease amplitudes carry a factor epsilon.  The original
-    epsilon is retained: it gives the time and amplitude factors.
+    and the matrix/protease amplitudes carry a factor epsilon, the epsilon
+    of the original problem.
     """
 
     params: Parameters
     extents: tuple[tuple[float, float], ...]
-    initial: InitialData
-    source_epsilon: float
-
-    @property
-    def time_factor(self) -> float:
-        """Multiply original times by this to get rescaled times."""
-        return 1.0 / self.source_epsilon
-
-    @property
-    def amplitude_factor(self) -> float:
-        """c and p pick up this factor in the rescaled problem."""
-        return self.source_epsilon
+    profile: Callable
 
 
-def rescale_to_unit_chi_eps(params: Parameters, extents, initial: InitialData):
+def rescale_to_unit_chi_eps(params: Parameters, extents, profile) -> RescaledProblem:
     """Map a problem with arbitrary chi > 0, epsilon > 0 to an exactly
     equivalent one with chi = epsilon = 1.
 
     The transformed diffusion and growth rates are alpha*chi/epsilon and
     epsilon*mu; the domain shrinks by 1/sqrt(chi); the time step and final
-    time divide by epsilon; and the initial matrix/protease profiles are
-    scaled by epsilon and read at the stretched coordinates.
+    time divide by epsilon; and the initial profile is read at the
+    stretched coordinates, with its matrix and protease scaled by epsilon.
     """
     if params.chi <= 0.0:
         raise ParameterError("rescaling is undefined for chi = 0")
@@ -237,10 +221,9 @@ def rescale_to_unit_chi_eps(params: Parameters, extents, initial: InitialData):
     )
     root = math.sqrt(chi)
     new_extents = tuple((lo / root, hi / root) for lo, hi in extents)
-    u0, c0, p0 = initial.u0, initial.c0, initial.p0
-    new_initial = InitialData(
-        lambda x: u0(root * np.asarray(x, dtype=float)),
-        lambda x: eps * c0(root * np.asarray(x, dtype=float)),
-        lambda x: eps * p0(root * np.asarray(x, dtype=float)),
-    )
-    return RescaledProblem(new_params, new_extents, new_initial, eps)
+
+    def new_profile(x):
+        u, c, p = profile(root * np.asarray(x, dtype=float))
+        return u, eps * c, eps * p
+
+    return RescaledProblem(new_params, new_extents, new_profile)

@@ -111,11 +111,6 @@ class FixedPointReport:
     breakdown: BreakdownReport | None = None
     history: tuple[tuple[float, float, float], ...] = ()  # residuals per sweep
 
-    @property
-    def residuals(self) -> tuple[float, float, float]:
-        """The (u, c, p) increment norms of the last completed sweep."""
-        return self.history[-1] if self.history else (np.inf,) * 3
-
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -230,8 +225,6 @@ def _u_solve(ops, params, u_it, c_it, rhs, x0=None) -> np.ndarray:
 
 
 def _c_rhs(ops, params, cn, pn) -> np.ndarray:
-    if params.theta == 1.0:
-        return ops.mass.matvec(cn)
     rhs_matrix = _c_system_matrix(ops, params, pn, -(1.0 - params.theta) * params.dt)
     return rhs_matrix.matvec(cn)
 

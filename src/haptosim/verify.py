@@ -10,6 +10,10 @@ Four checks certify the solver from the outside:
   discrete level;
 * a cross-check of the assembled forms, on single-element meshes, against
   an independently coded high-order quadrature.
+
+The order study starts from :func:`constant_initial_data`, the initial
+profile with the same (u, c, p) at every point; the rescaling check starts
+from a config's own profile and from its rescaled twin.
 """
 
 from __future__ import annotations
@@ -23,13 +27,8 @@ import numpy as np
 from . import fem
 from .iocfg import RunConfig
 from .mesh import build_structured_mesh
-from .model import (
-    InitialData,
-    Parameters,
-    interpolate_initial_state,
-    rescale_to_unit_chi_eps,
-)
-from .stepper import simulate
+from .model import Parameters, interpolate_initial_state, rescale_to_unit_chi_eps
+from .stepper import run, simulate
 
 
 class OracleError(RuntimeError):
@@ -46,7 +45,6 @@ class OdeTrajectory:
 
     times: np.ndarray
     states: np.ndarray  # (n_times, 3) columns u, c, p
-    substeps: int
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -87,11 +85,12 @@ def ode_oracle(params: Parameters, y0, t_end, substeps) -> OdeTrajectory:
         if not (math.isfinite(u) and math.isfinite(c) and math.isfinite(p)):
             raise OracleError(f"non-finite reference state at t = {n * h}")
         states.append((u, c, p))
-    return OdeTrajectory(np.arange(substeps + 1) * h, np.array(states), substeps)
+    return OdeTrajectory(np.arange(substeps + 1) * h, np.array(states))
 
 
-def constant_initial_data(u0: float, c0: float, p0: float) -> InitialData:
-    return InitialData(lambda x: u0, lambda x: c0, lambda x: p0)
+def constant_initial_data(u0: float, c0: float, p0: float):
+    """The initial profile with the same (u0, c0, p0) at every point."""
+    return lambda x: (u0, c0, p0)
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,7 @@ def temporal_order_study(theta, dts) -> OrderStudy:
         raise StudyError(f"need at least two distinct step sizes, got {dts}")
 
     mesh = build_structured_mesh(2, ((0.0, 1.0), (0.0, 1.0)), (1, 1), 0)
-    initial = constant_initial_data(*ORDER_Y0)
+    profile = constant_initial_data(*ORDER_Y0)
     reference = ode_oracle(
         Parameters(mu=ORDER_MU, epsilon=ORDER_EPSILON, chi=0.0), ORDER_Y0, ORDER_T_END,
         ORDER_REFERENCE_SUBSTEPS,
@@ -141,7 +140,7 @@ def temporal_order_study(theta, dts) -> OrderStudy:
             chi=0.0, mu=ORDER_MU, epsilon=ORDER_EPSILON, theta=theta, dt=dt,
             t_final=ORDER_T_END, tol_fp=1e-12, max_fp_iters=500, beta=1.0,
         )
-        state0 = interpolate_initial_state(initial, mesh)
+        state0 = interpolate_initial_state(profile, mesh)
         try:
             result = simulate(state0, params)
         except Exception as exc:
@@ -200,33 +199,27 @@ def scaling_equivalence(config: RunConfig) -> ScalingCheck:
     agree up to fixed-point tolerances.
     """
     params = config.params
-    initial = config.initial_data()
-
-    mesh = config.build_mesh()
-    result = simulate(
-        interpolate_initial_state(initial, mesh), params,
-        snapshot_times=config.snapshots,
-    )
+    result = run(config)
     if result.breakdown is not None:
         raise StudyError(f"original run broke down: {result.breakdown}")
 
-    scaled = rescale_to_unit_chi_eps(params, config.extents, initial)
+    scaled = rescale_to_unit_chi_eps(params, config.extents, config.initial_data())
     mesh2 = build_structured_mesh(
         config.dim, scaled.extents, config.base_cells, config.refinements
     )
-    if mesh2.n_nodes != mesh.n_nodes:
+    if mesh2.n_nodes != result.state.mesh.n_nodes:
         raise StudyError("transformed grid topology does not match the original")
-    snapshots2 = tuple(t * scaled.time_factor for t in config.snapshots)
+    # times divide by epsilon and c, p carry a factor epsilon in the transform
+    back = 1.0 / params.epsilon
     result2 = simulate(
-        interpolate_initial_state(scaled.initial, mesh2), scaled.params,
-        snapshot_times=snapshots2,
+        interpolate_initial_state(scaled.profile, mesh2), scaled.params,
+        snapshot_times=tuple(t * back for t in config.snapshots),
     )
     if result2.breakdown is not None:
         raise StudyError(f"transformed run broke down: {result2.breakdown}")
 
     if len(result.snapshots) != len(result2.snapshots):
         raise StudyError("snapshot counts differ between the two runs")
-    back = 1.0 / scaled.amplitude_factor
     per_time = []
     for (t1, s1), (_, s2) in zip(result.snapshots, result2.snapshots):
         diff = max(

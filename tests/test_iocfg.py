@@ -42,10 +42,8 @@ def test_empty_config_gives_documented_defaults():
     assert cfg.params.tol_fp == 1e-8
     assert cfg.snapshots == (5.0, 15.0, 25.0, 35.0)
     # the corner Gaussian: u0 = 1 and c0 = p0 = 0.5 at the origin
-    initial, origin = cfg.initial_data(), np.zeros((1, 2))
-    assert [f(origin).tolist() for f in (initial.u0, initial.c0, initial.p0)] == [
-        [1.0], [0.5], [0.5]
-    ]
+    values = cfg.initial_data()(np.zeros((1, 2)))
+    assert [f.tolist() for f in values] == [[1.0], [0.5], [0.5]]
     cfg.build_mesh()  # defaults build the reference 33x33 grid
     assert cfg.n_steps == 50
 

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haptosim.mesh import build_structured_mesh, interpolate
+from haptosim.mesh import InterpolationError, build_structured_mesh, interpolate
 from haptosim.model import (
-    InitialData,
     MeshMismatchError,
     NonnegativityWarning,
     ParameterError,
     Parameters,
     SimState,
-    corner_gaussian_initial_data,
+    corner_gaussian,
     interpolate_initial_state,
     rescale_to_unit_chi_eps,
 )
@@ -63,15 +62,11 @@ def test_ringing_number_is_the_explicit_share_of_the_protease_decay():
 
 
 def test_initial_data_at_origin_and_far_field():
-    data = corner_gaussian_initial_data()
-    origin = np.zeros(2)
-    assert data.u0(origin) == 1.0
-    assert data.c0(origin) == 0.5
-    assert data.p0(origin) == 0.5
-    far = np.array([40.0, 40.0])
-    assert data.u0(far) == pytest.approx(0.0, abs=1e-300)
-    assert data.c0(far) == 1.0
-    assert data.p0(far) == pytest.approx(0.0, abs=1e-300)
+    assert [f.tolist() for f in corner_gaussian(np.zeros((1, 2)))] == [[1.0], [0.5], [0.5]]
+    u0, c0, p0 = corner_gaussian(np.array([[40.0, 40.0]]))
+    assert u0[0] == pytest.approx(0.0, abs=1e-300)
+    assert c0[0] == 1.0
+    assert p0[0] == pytest.approx(0.0, abs=1e-300)
 
 
 @given(
@@ -80,10 +75,9 @@ def test_initial_data_at_origin_and_far_field():
 )
 @settings(max_examples=50, deadline=None)
 def test_initial_data_pointwise_identities(x, y, z, three_d):
-    data = corner_gaussian_initial_data()
-    point = np.array([x, y, z] if three_d else [x, y])
-    assert data.c0(point) == 1.0 - data.p0(point)
-    assert data.p0(point) == 0.5 * data.u0(point)
+    u0, c0, p0 = corner_gaussian(np.array([x, y, z] if three_d else [x, y]))
+    assert c0 == 1.0 - p0
+    assert p0 == 0.5 * u0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -91,7 +85,7 @@ def test_corner_gaussian_nodes_equal_the_per_point_formula(dim):
     # extents whose node coordinates round, so |x|^2 depends on the order
     # and fusion of its operations; the profiles take all nodes at once
     mesh = build_structured_mesh(dim, [(-1.3, 2.9)] * dim, (3,) * dim, 2)
-    state = interpolate_initial_state(corner_gaussian_initial_data(), mesh)
+    state = interpolate_initial_state(corner_gaussian, mesh)
     gauss = np.array([math.exp(-float(np.dot(x, x))) for x in mesh.node_coords()])
     assert state.u.coeffs.tobytes() == gauss.tobytes()
     assert state.c.coeffs.tobytes() == np.array([1.0 - 0.5 * g for g in gauss]).tobytes()
@@ -100,10 +94,43 @@ def test_corner_gaussian_nodes_equal_the_per_point_formula(dim):
 
 def test_interpolate_initial_state_warns_on_negative_data():
     mesh = build_structured_mesh(2, UNIT, (1, 1), 0)
-    data = InitialData(lambda x: -1.0, lambda x: 1.0, lambda x: 0.0)
-    with pytest.warns(NonnegativityWarning):
-        state = interpolate_initial_state(data, mesh)
+    with pytest.warns(NonnegativityWarning, match="initial u"):
+        state = interpolate_initial_state(lambda x: (-1.0, 1.0, 0.0), mesh)
     assert state.t == 0.0
+
+
+def test_interpolate_initial_state_builds_the_nodes_once_and_calls_the_profile_once(
+    monkeypatch,
+):
+    mesh = build_structured_mesh(3, ((0.0, 1.0),) * 3, (2, 2, 2), 0)
+    node_coords = type(mesh).node_coords
+    calls = {"node_coords": 0, "profile": 0}
+
+    def counted_node_coords(self):
+        calls["node_coords"] += 1
+        return node_coords(self)
+
+    def profile(x):
+        calls["profile"] += 1
+        return corner_gaussian(x)
+
+    monkeypatch.setattr(type(mesh), "node_coords", counted_node_coords)
+    interpolate_initial_state(profile, mesh)
+    assert calls == {"node_coords": 1, "profile": 1}
+
+
+@pytest.mark.parametrize("field", ["u", "c", "p"])
+def test_nonfinite_initial_profile_names_field_node_and_point(field):
+    mesh = build_structured_mesh(2, UNIT, (1, 1), 0)
+
+    def profile(x):
+        # nan at node 1, the corner x = (1, 0), in one field only
+        bad = np.where((x[:, 0] == 1.0) & (x[:, 1] == 0.0), math.nan, 0.5)
+        return tuple(bad if name == field else 0.5 for name in "ucp")
+
+    message = rf"initial profile of {field} .* nan at node 1, x=\(1\.0, 0\.0\)"
+    with pytest.raises(InterpolationError, match=message):
+        interpolate_initial_state(profile, mesh)
 
 
 def test_sim_state_requires_shared_mesh():
@@ -118,42 +145,49 @@ def test_sim_state_requires_shared_mesh():
 
 def test_rescaling_identity_when_already_unit():
     params = Parameters(alpha=10.0, chi=1.0, mu=1.0, epsilon=1.0)
-    initial = corner_gaussian_initial_data()
     extents = ((0.0, 20.0), (0.0, 20.0))
-    scaled = rescale_to_unit_chi_eps(params, extents, initial)
+    scaled = rescale_to_unit_chi_eps(params, extents, corner_gaussian)
     assert scaled.params == params
     assert scaled.extents == extents
     x = np.array([1.3, 2.7])
-    assert scaled.initial.u0(x) == initial.u0(x)
-    assert scaled.initial.c0(x) == initial.c0(x)
+    assert scaled.profile(x) == corner_gaussian(x)
 
 
 def test_rescaling_documented_example():
     params = Parameters(alpha=10.0, chi=0.01, mu=0.5, epsilon=0.2, dt=1.0, t_final=50.0)
     extents = ((0.0, 20.0), (0.0, 20.0))
-    scaled = rescale_to_unit_chi_eps(params, extents, corner_gaussian_initial_data())
+    scaled = rescale_to_unit_chi_eps(params, extents, corner_gaussian)
     assert scaled.params.alpha == pytest.approx(0.5, rel=1e-15)
     assert scaled.params.mu == pytest.approx(0.1, rel=1e-15)
     assert scaled.params.chi == 1.0
     assert scaled.params.epsilon == 1.0
     assert scaled.params.dt == pytest.approx(5.0, rel=1e-15)
+    assert scaled.params.t_final == pytest.approx(250.0, rel=1e-15)
     assert scaled.extents[0][1] == pytest.approx(200.0, rel=1e-15)
-    assert scaled.time_factor == pytest.approx(5.0, rel=1e-15)
 
 
 def test_rescaling_requires_positive_chi():
     params = Parameters(chi=0.0)
     with pytest.raises(ParameterError):
-        rescale_to_unit_chi_eps(params, ((0.0, 1.0), (0.0, 1.0)),
-                                corner_gaussian_initial_data())
+        rescale_to_unit_chi_eps(params, ((0.0, 1.0), (0.0, 1.0)), corner_gaussian)
 
 
 def test_rescaled_initial_data_formulas():
     params = Parameters(chi=4.0, epsilon=0.5)
-    initial = corner_gaussian_initial_data()
-    scaled = rescale_to_unit_chi_eps(params, ((0.0, 2.0), (0.0, 2.0)), initial)
+    scaled = rescale_to_unit_chi_eps(params, ((0.0, 2.0), (0.0, 2.0)), corner_gaussian)
     x = np.array([0.7, 0.3])
+    u0, c0, p0 = corner_gaussian(2.0 * x)
     # stretched coordinates carry sqrt(chi), amplitudes carry epsilon
-    assert scaled.initial.u0(x) == pytest.approx(initial.u0(2.0 * x), rel=1e-15)
-    assert scaled.initial.c0(x) == pytest.approx(0.5 * initial.c0(2.0 * x), rel=1e-15)
-    assert scaled.initial.p0(x) == pytest.approx(0.5 * initial.p0(2.0 * x), rel=1e-15)
+    assert scaled.profile(x) == (u0, 0.5 * c0, 0.5 * p0)
+
+
+def test_rescaled_profile_is_called_once_per_call():
+    calls = []
+
+    def profile(x):
+        calls.append(x.copy())
+        return 1.0, 2.0, 3.0
+
+    scaled = rescale_to_unit_chi_eps(Parameters(chi=4.0, epsilon=0.5), UNIT, profile)
+    assert scaled.profile(np.array([[0.5, 0.25]])) == (1.0, 1.0, 1.5)
+    assert len(calls) == 1 and calls[0].tolist() == [[1.0, 0.5]]

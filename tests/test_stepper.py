@@ -182,7 +182,7 @@ def test_fixed_point_report_residuals_below_tolerance(unit_mesh, unit_ops):
     state = constant_state(unit_mesh, 0.5, 0.9, 0.1)
     _, report = fixed_point_advance(state, params, unit_ops)
     assert report.converged
-    assert max(report.residuals) < params.tol_fp
+    assert max(report.history[-1]) < params.tol_fp
     assert report.iterations <= params.max_fp_iters
 
 
@@ -355,9 +355,9 @@ def test_simulate_snapshot_off_grid_rejected(unit_mesh):
 
 def test_beta_independence_on_small_invasion_problem():
     mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (1, 1), 3)
-    from haptosim.model import corner_gaussian_initial_data, interpolate_initial_state
+    from haptosim.model import corner_gaussian, interpolate_initial_state
 
-    state0 = interpolate_initial_state(corner_gaussian_initial_data(), mesh)
+    state0 = interpolate_initial_state(corner_gaussian, mesh)
     committed = {}
     for beta in (0.25, 1.0):
         params = Parameters(chi=0.01, mu=0.5, beta=beta, t_final=2.0)
@@ -388,9 +388,9 @@ def test_published_peaks_run_keeps_its_sweep_total():
 
 def small_invasion_state():
     mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (1, 1), 3)
-    from haptosim.model import corner_gaussian_initial_data
+    from haptosim.model import corner_gaussian
 
-    return interpolate_initial_state(corner_gaussian_initial_data(), mesh)
+    return interpolate_initial_state(corner_gaussian, mesh)
 
 
 def test_steps_after_the_first_start_from_the_extrapolated_level(monkeypatch):
@@ -460,9 +460,9 @@ def test_held_band_factors_keep_the_fresh_factor_trajectory(monkeypatch):
 
 def test_each_sweep_solves_c_then_u_with_that_c_then_p(monkeypatch):
     mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (1, 1), 3)
-    from haptosim.model import corner_gaussian_initial_data
+    from haptosim.model import corner_gaussian
 
-    state0 = interpolate_initial_state(corner_gaussian_initial_data(), mesh)
+    state0 = interpolate_initial_state(corner_gaussian, mesh)
     calls = []
 
     def spy(name, solve):
@@ -537,9 +537,9 @@ def test_sweep_commits_the_state_of_a_tighter_tolerance():
     # stopping at the default tol_fp = 1e-8 commits the states of a run to
     # tol_fp = 1e-12 within 1e-7
     mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (1, 1), 3)
-    from haptosim.model import corner_gaussian_initial_data, interpolate_initial_state
+    from haptosim.model import corner_gaussian, interpolate_initial_state
 
-    state0 = interpolate_initial_state(corner_gaussian_initial_data(), mesh)
+    state0 = interpolate_initial_state(corner_gaussian, mesh)
     results = {}
     for tol_fp in (1e-8, 1e-12):
         params = Parameters(chi=0.01, mu=0.5, tol_fp=tol_fp, t_final=2.0)
@@ -601,7 +601,6 @@ def test_report_carries_the_sweep_residual_history(unit_mesh, unit_ops):
     _, report = fixed_point_advance(constant_state(unit_mesh, 0.5, 0.9, 0.1),
                                     params, unit_ops)
     assert len(report.history) == report.iterations
-    assert report.history[-1] == report.residuals
     assert all(len(r) == 3 for r in report.history)
 
 

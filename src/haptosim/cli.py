@@ -112,6 +112,11 @@ def cmd_run(args) -> int:
         factor = (1.0 - ringing) / (1.0 + params.theta * params.dt / params.epsilon)
         print(f"note: ringing number (1 - theta) dt / epsilon = {ringing:g} exceeds 1, "
               f"so p rings with factor {factor:.3g} per step", file=sys.stderr)
+    logistic = params.logistic_number
+    if logistic >= 1.0:
+        print(f"note: logistic number theta dt mu = {logistic:g} is at least 1, so the "
+              f"u system's mass weight 1 + theta dt mu (u - 1) vanishes at "
+              f"u = {1.0 - 1.0 / logistic:.3g} and is negative below it", file=sys.stderr)
     code, _ = run_and_emit(config)
     if code == EXIT_OK:
         print(f"completed {config.n_steps} steps to t = {config.params.t_final:g}; "

@@ -287,7 +287,8 @@ def assemble_weighted_mass(mesh, w, plan: AssemblyPlan | None = None,
 
 def assemble_haptotaxis(mesh, c, plan: AssemblyPlan | None = None,
                         into: DiaMatrix | None = None) -> DiaMatrix:
-    """Global matrix of  int phi_i (grad c_h . grad phi_j);  row = test index.
+    """Global matrix of  int phi_j (grad c_h . grad phi_i);  row i = test
+    index, so the gradient falls on the test function (the divergence form).
     With ``into``, that matrix plus B(c), written into its diagonals."""
     plan = plan or AssemblyPlan(mesh)
     cn = _coefficients(c, mesh, "matrix-density field")

@@ -31,22 +31,21 @@ contract, in the order they are tried:
   interchanged no rows, as on every 2D mesh measured, are solved by two BLAS
   banded triangular solves (``dtbsv``) on views of the factors, with the
   bits of ``dgbtrs`` in about two thirds of its time;
-* above that, preconditioned BiCGSTAB (CG with ``spd=True``) with one
-  tighter retry.  The preconditioner is Jacobi unless the caller supplies
-  one (``precond=``; the stepper passes the inverse mass matrix for the
+* above that, one preconditioned BiCGSTAB solve (CG with ``spd=True``).
+  The preconditioner is Jacobi unless the caller supplies one
+  (``precond=``; the stepper passes the inverse mass matrix for the
   matrix-density system).  The systems produced by the time stepper are
   mass-dominated and warm-started from the previous sweep, so this path
   converges in a few dozen iterations; in a run it beats the band, whose
-  cost grows as n kl^2, on every mesh measured above the limit;
-* sparse LU (``splu``), only when both Krylov attempts miss the contract.
+  cost grows as n kl^2, on every mesh measured above the limit.  A miss is
+  not retried: BiCGSTAB restarted from the same x0 repeats its iterates.
 
 Every path ends in the same explicit residual check.  Its product A x, and
 every other product with a :class:`DiaMatrix`, inside the Krylov solvers
 too, is ``dia_matvec`` of the private ``scipy.sparse._sparsetools``, the
 compiled kernel behind scipy's ``dia_matrix @``, called directly.  The axis
 steps of :mod:`haptosim.fem` go through :func:`csr_product`, which calls
-``csr_matvec`` and ``csr_matvecs`` the same way.  A scipy matrix is built
-only for the sparse-LU fallback.
+``csr_matvec`` and ``csr_matvecs`` the same way.  No scipy matrix is built.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 from scipy.sparse import _sparsetools
@@ -305,7 +303,8 @@ def _solve_krylov(a: DiaMatrix, b, tol_lin, x0=None, spd=False, precond=None):
     if precond is None:  # Jacobi
         main = a.data[a.offsets == 0]
         if main.size == 0 or np.any(main == 0.0):
-            return None
+            raise SolverFailure("Krylov solve failed: a zero diagonal entry leaves no "
+                                "Jacobi preconditioner", np.inf)
         precond = lambda v, d=1.0 / main[0]: d * v
     krylov = spla.cg if spd else spla.bicgstab
     # with their dtype given, scipy makes no probe product to find it
@@ -315,7 +314,7 @@ def _solve_krylov(a: DiaMatrix, b, tol_lin, x0=None, spd=False, precond=None):
         M=spla.LinearOperator((a.n, a.n), matvec=precond, dtype=float),
     )
     if info < 0 or not all_finite(x):
-        return None
+        raise SolverFailure(f"Krylov solve failed: {krylov.__name__} broke down", np.inf)
     return x
 
 
@@ -326,16 +325,16 @@ def solve(
     """Solve A x = b to relative residual <= tol_lin.
 
     Up to DIRECT_LIMIT unknowns the solve is a banded LU (the widest band
-    there is 26 MB), above it Krylov with one tighter retry and then sparse
-    LU as the fallback.  ``band`` is a :class:`BandLU` that keeps the band
-    layout and factors across calls; from kl = REFINE_MIN_KL on, its held
-    factors refine ``x0`` before A is factored again.  Without a holder every
-    band solve factors A.  ``x0`` also warm-starts the Krylov path;
-    ``spd=True`` selects conjugate gradients there.  ``inverse`` (a function
-    b -> A^-1 b) is tried before any other path; ``precond`` (a function
-    approximating v -> A^-1 v) replaces Jacobi as the Krylov preconditioner.
-    None of these affects the residual contract: a result that misses
-    tol_lin falls through to the next path.
+    there is 26 MB), above it one Krylov solve.  ``band`` is a
+    :class:`BandLU` that keeps the band layout and factors across calls;
+    from kl = REFINE_MIN_KL on, its held factors refine ``x0`` before A is
+    factored again.  Without a holder every band solve factors A.  ``x0``
+    also warm-starts the Krylov solve; ``spd=True`` selects conjugate
+    gradients there.  ``inverse`` (a function b -> A^-1 b) is tried first,
+    and a result of it that misses tol_lin falls through to the band or
+    Krylov path; ``precond`` (a function approximating v -> A^-1 v) replaces
+    Jacobi as the Krylov preconditioner.  A band or Krylov result that
+    misses tol_lin, or a Krylov breakdown, raises SolverFailure.
     """
     b = np.ascontiguousarray(b, dtype=float)  # so that _norm(b) is np.linalg.norm(b)
     if b.shape != (a.n,):
@@ -358,16 +357,7 @@ def solve(
         band = band if band is not None else BandLU()
         x, ax = band.solve(a, b, bnorm, tol_lin, x0)
     else:
-        for tol in (tol_lin, tol_lin * 1e-2):  # one tighter retry before LU
-            x = _solve_krylov(a, b, tol, x0=x0, spd=spd, precond=precond)
-            if x is not None and _relative_residual(a.matvec(x), b, bnorm) <= tol_lin:
-                return x
-        csc = sp.dia_matrix((a.data, a.offsets), shape=(a.n, a.n)).tocsc()
-        try:
-            lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # exactly singular
-            raise SolverFailure(f"sparse LU factorization failed: {exc}", np.inf)
-        x = lu.solve(b)
+        x = _solve_krylov(a, b, tol_lin, x0=x0, spd=spd, precond=precond)
         ax = a.matvec(x)
     residual = _relative_residual(ax, b, bnorm)
     if not all_finite(x) or residual > tol_lin:

@@ -107,6 +107,16 @@ class Parameters:
         return (1.0 - self.theta) * self.dt / self.epsilon
 
     @property
+    def logistic_number(self) -> float:
+        """theta dt mu, the implicit share of the logistic term.
+
+        The u system's mass weight is 1 + theta dt mu (u - 1).  From 1 on it
+        vanishes at u = 1 - 1 / (theta dt mu) and is negative below that, so
+        where there are few cells the system loses its mass term.
+        """
+        return self.theta * self.dt * self.mu
+
+    @property
     def n_steps(self) -> int:
         """The number of steps to t_final; see :meth:`steps_to`."""
         return self.steps_to(self.t_final, "t_final")

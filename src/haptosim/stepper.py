@@ -66,14 +66,25 @@ ANDERSON_DEPTH = 5  # the differences that each Anderson update mixes
 class StepError(RuntimeError):
     """A linear solve failed inside a time step.
 
-    Raised from :func:`simulate`, ``records`` holds the diagnostics of the
-    steps committed before the failure and ``state`` the last committed state.
+    ``system`` names the equation whose solve failed (u, c or p) and
+    ``failure`` is the :class:`haptosim.linsolve.SolverFailure`;
+    :func:`fixed_point_advance` sets ``time`` and ``sweep``.  Raised from
+    :func:`simulate`, ``records`` holds the diagnostics of the steps committed
+    before the failure and ``state`` the last committed state.
     """
 
-    def __init__(self, message):
-        super().__init__(message)
+    def __init__(self, system, failure):
+        super().__init__(system, failure)
+        self.system = system
+        self.failure = failure
+        self.time: float | None = None
+        self.sweep: int | None = None
         self.records: list[StepRecord] = []
         self.state: SimState | None = None
+
+    def __str__(self):
+        where = "" if self.time is None else f" at t = {self.time:g} (sweep {self.sweep})"
+        return f"linear solve of the {self.system} system failed{where}: {self.failure}"
 
 
 class NonconvergenceError(RuntimeError):
@@ -221,7 +232,7 @@ def _u_rhs(ops, params, un, cn) -> np.ndarray:
 
 def _u_solve(ops, params, u_it, c_it, rhs, x0=None) -> np.ndarray:
     lhs = _u_system_matrix(ops, params, u_it, c_it, params.theta * params.dt)
-    return _solve(lhs, rhs, params, x0=x0, band=ops.u_band)
+    return _solve("u", lhs, rhs, params, x0=x0, band=ops.u_band)
 
 
 def _c_rhs(ops, params, cn, pn) -> np.ndarray:
@@ -232,7 +243,8 @@ def _c_rhs(ops, params, cn, pn) -> np.ndarray:
 def _c_solve(ops, params, p_it, rhs, x0=None) -> np.ndarray:
     lhs = _c_system_matrix(ops, params, p_it, params.theta * params.dt)
     # M + theta dt W(p) is mass-dominated: M^-1 preconditions it on the Krylov path
-    return _solve(lhs, rhs, params, x0=x0, precond=ops.mass_inverse, band=ops.c_band)
+    return _solve("c", lhs, rhs, params, x0=x0, precond=ops.mass_inverse,
+                  band=ops.c_band)
 
 
 def _p_rhs_const(ops, params, pn, un, cn) -> np.ndarray:
@@ -253,15 +265,17 @@ def _p_solve(ops, params, u_it, c_it, rhs_const, x0=None) -> np.ndarray:
         rhs = rhs + implicit * ops.product_load(u_it, c_it)
     # (1 + implicit) M p = rhs: M is symmetric positive definite, and its
     # inverse is known exactly
-    return _solve(ops.mass, rhs / (1.0 + implicit), params, x0=x0, spd=True,
+    return _solve("p", ops.mass, rhs / (1.0 + implicit), params, x0=x0, spd=True,
                   inverse=ops.mass_inverse)
 
 
-def _solve(lhs, rhs, params, **kwargs) -> np.ndarray:
+def _solve(system, lhs, rhs, params, **kwargs) -> np.ndarray:
+    """linsolve.solve to params.tol_lin; a failure becomes a StepError that
+    names ``system``, the equation solved."""
     try:
         return linsolve.solve(lhs, rhs, tol_lin=params.tol_lin, **kwargs)
     except linsolve.SolverFailure as exc:
-        raise StepError(f"linear solve failed: {exc}") from exc
+        raise StepError(system, exc) from exc
 
 
 def _check_blowup(coeffs, name, params, time, iteration) -> BreakdownReport | None:
@@ -346,6 +360,9 @@ def fixed_point_advance(
             # the c and u that the later systems read have passed the check
             report = BreakdownReport(t_new, k, "iterate", str(exc), float("nan"))
             return stop(report, u_old, c_old, p_old)
+        except StepError as exc:
+            exc.time, exc.sweep = t_new, k
+            raise
 
         report = _check_blowup(p_new, "p", params, t_new, k)
         if report is not None:

@@ -242,6 +242,22 @@ def test_run_linear_solve_failure_exit_code(tmp_path, capsys):
     assert_last_good_state_at_t0(out)
 
 
+def test_run_solve_failure_names_the_system_and_the_logistic_number(tmp_path, capsys):
+    # theta dt mu = 1.2 on 64^2, above DIRECT_LIMIT: the u system's mass
+    # weight is negative where u < 1/6, and its first Krylov solve misses
+    out = tmp_path / "o"
+    code = cli.main(["run", "--set", "mu=1.2", "--set", "chi=1", "--set", "theta=1",
+                     "--set", "refinements=6", "--set", "t_final=2", "--out", str(out)])
+    assert code == cli.EXIT_SOLVE
+    err = capsys.readouterr().err
+    assert err.count("note: logistic number theta dt mu = 1.2 is at least 1") == 1
+    assert "1 + theta dt mu (u - 1) vanishes at u = 0.167 and is negative below it" in err
+    assert "linear solve of the u system failed at t = 1 (sweep 1): " in err
+    data = read_diagnostics_csv(out / "diagnostics.csv")
+    np.testing.assert_array_equal(data["time"], [0.0])
+    assert (out / "last_good_t0.vtk").is_file()
+
+
 def assert_last_good_state_at_t0(out):
     """The stopped run wrote its last committed state, the initial data."""
     assert sorted(p.name for p in out.glob("*.vtk")) == ["last_good_t0.vtk"]

@@ -44,10 +44,10 @@ def relative_residual(a, x, b) -> float:
 
 
 def take_path(monkeypatch, method):
-    """Send the solves of a test down one path: "iterative" (Krylov, with
-    sparse LU as the fallback) by lowering DIRECT_LIMIT below every system;
-    "direct" and "auto" leave it, so the systems they are used with (at most
-    9 x 9 nodes) take the banded LU."""
+    """Send the solves of a test down one path: "iterative" (one Krylov
+    solve) by lowering DIRECT_LIMIT below every system; "direct" and "auto"
+    leave it, so the systems they are used with (at most 9 x 9 nodes) take
+    the banded LU."""
     if method == "iterative":
         monkeypatch.setattr(linsolve, "DIRECT_LIMIT", 0)
 
@@ -278,28 +278,33 @@ def _u_systems_2d(weights):
     ]
 
 
-class NoScipySparse:
-    def __getattr__(self, name):
-        raise AssertionError(f"this solve should not build a scipy matrix ({name})")
+def forbid_scipy_matrices(monkeypatch):
+    """Make every scipy sparse matrix or array constructor, and splu, raise."""
+    for fmt in ("bsr", "coo", "csc", "csr", "dia", "dok", "lil"):
+        for kind in ("matrix", "array"):
+            forbid(monkeypatch, sp, f"{fmt}_{kind}")
+    forbid(monkeypatch, spla, "splu")
 
 
 def test_band_path_builds_no_scipy_form(monkeypatch):
-    m, b = _mass_system(16)  # 289 unknowns: banded LU, residual from the diagonals
-    monkeypatch.setattr(linsolve, "sp", NoScipySparse())
-    x = solve(m, b)
-    assert relative_residual(m, x, b) <= 1e-12
+    m, b16 = _mass_system(16)  # 289 unknowns: banded LU, residual from the diagonals
     # nor does a refined band solve, a p-style solve through an exact inverse
-    # or a product
+    # or a product; the assembly, which builds its axis steps with scipy,
+    # runs first
     a, nearby = _u_systems_2d([1.0, 1.0 + 1e-3])
     b = np.random.default_rng(11).standard_normal(a.n)
+    mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (32, 32), 0)
+    plan = AssemblyPlan(mesh)
+    mass = assemble_mass(mesh, plan)
+    inverse = mass_inverse(plan)
+    forbid_scipy_matrices(monkeypatch)
+    x = solve(m, b16)
+    assert relative_residual(m, x, b16) <= 1e-12
     factored = spy_on_band(monkeypatch)
     band = BandLU()
     y = solve(nearby, b, x0=solve(a, b, band=band), band=band)
     assert len(factored) == band.factorizations == 1  # the second was refined
-    mesh = build_structured_mesh(2, ((0.0, 20.0), (0.0, 20.0)), (32, 32), 0)
-    plan = AssemblyPlan(mesh)
-    mass = assemble_mass(mesh, plan)
-    z = solve(mass, b, inverse=mass_inverse(plan))
+    z = solve(mass, b, inverse=inverse)
     assert len(factored) == 1  # the inverse met the contract
     mass.matvec(z)
     assert relative_residual(nearby, y, b) <= 1e-12
@@ -487,21 +492,25 @@ def test_held_factors_of_another_pattern_are_not_reused(monkeypatch):
     assert len(factored) == band.factorizations == 2
 
 
-def test_failed_krylov_reaches_the_lu_fallback_once(monkeypatch):
+@pytest.mark.parametrize("info", [1, -10], ids=["stagnated", "breakdown"])
+def test_failed_krylov_raises_after_one_call(monkeypatch, info):
+    # a BiCGSTAB that returns its start, as a stagnated or broken-down solve
+    # can, is not tried again, and nothing else runs after it
     m, b = _mass_system(4)
-    factorizations = []
-    splu = spla.splu
+    calls = []
 
-    def counted(*args, **kwargs):
-        factorizations.append(1)
-        return splu(*args, **kwargs)
+    def failed(a, b, **kwargs):
+        calls.append(kwargs["rtol"])
+        return np.zeros_like(b), info
 
-    monkeypatch.setattr(linsolve.spla, "bicgstab", lambda a, b, **kw: (np.zeros_like(b), 1))
-    monkeypatch.setattr(linsolve.spla, "splu", counted)
+    monkeypatch.setattr(linsolve.spla, "bicgstab", failed)
+    forbid(monkeypatch, linsolve.spla, "cg")
+    forbid_scipy_matrices(monkeypatch)
     take_path(monkeypatch, "iterative")
-    x = solve(m, b)
-    assert relative_residual(m, x, b) <= 1e-12
-    assert len(factorizations) == 1
+    with pytest.raises(SolverFailure) as err:
+        solve(m, b)
+    assert len(calls) == 1
+    assert err.value.residual == (1.0 if info > 0 else np.inf)
 
 
 def test_nonfinite_inputs_rejected():
@@ -708,13 +717,20 @@ def test_wrong_inverse_falls_through_to_contract(cells, method, wrong, monkeypat
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # zero breaks Krylov
 @pytest.mark.parametrize(
-    "wrong", [lambda v: v, lambda v: np.zeros_like(v), lambda v: -v],
+    "wrong, converges",
+    [(lambda v: v, True), (lambda v: np.zeros_like(v), False), (lambda v: -v, True)],
     ids=["identity", "zero", "negated"],
 )
 @pytest.mark.parametrize("spd", [False, True])
-def test_wrong_preconditioner_still_meets_contract(wrong, spd, monkeypatch):
+def test_wrong_preconditioner_still_meets_contract(wrong, converges, spd, monkeypatch):
+    # a zero preconditioner breaks the Krylov solve down: no x is returned,
+    # so none above tol_lin
     take_path(monkeypatch, "iterative")
     m, b = _mass_system(12)
+    if not converges:
+        with pytest.raises(SolverFailure):
+            solve(m, b, tol_lin=1e-12, spd=spd, precond=wrong)
+        return
     x = solve(m, b, tol_lin=1e-12, spd=spd, precond=wrong)
     assert relative_residual(m, x, b) <= 1e-12
 

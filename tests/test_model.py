@@ -61,6 +61,15 @@ def test_ringing_number_is_the_explicit_share_of_the_protease_decay():
     assert Parameters(theta=0.0, dt=0.1, epsilon=0.2).ringing_number == 0.5
 
 
+def test_logistic_number_is_the_implicit_share_of_the_logistic_term():
+    # theta dt mu: 0.25 in the default config, 1 in the 64^2 equal-rates run
+    # at theta = 1, where the u system's mass weight vanishes at u = 0
+    assert Parameters().logistic_number == 0.25
+    assert Parameters(mu=1.0, theta=1.0).logistic_number == 1.0
+    assert Parameters(mu=2.0, theta=0.5, dt=0.5).logistic_number == 0.5
+    assert Parameters(theta=0.0).logistic_number == 0.0
+
+
 def test_initial_data_at_origin_and_far_field():
     assert [f.tolist() for f in corner_gaussian(np.zeros((1, 2)))] == [[1.0], [0.5], [0.5]]
     u0, c0, p0 = corner_gaussian(np.array([[40.0, 40.0]]))

@@ -243,7 +243,15 @@ class AssemblyPlan:
 
     def kronecker_sum(self, terms) -> DiaMatrix:
         """The sum over ``terms`` of the Kronecker products of their 1D
-        bands, one (3, n) band per array axis, laid out as above."""
+        bands, one (3, n) band per array axis, laid out as above.
+
+        The first term's product becomes the result, and each later one is
+        written into one scratch array and added in place, so the sum
+        holds at most two arrays of the result's size.  Each product is
+        taken axis by axis in array order and the terms are summed in
+        their order, so the bits are those of the plain left-to-right sum
+        of the broadcast products.
+        """
         dim = self.mesh.dim
 
         def factor(m, band):  # band [o + 1, b] on array axis m
@@ -251,9 +259,16 @@ class AssemblyPlan:
             shape[m], shape[dim + m] = band.shape
             return band.reshape(shape)
 
-        values = reduce(np.add, [
-            reduce(np.multiply, [factor(m, b) for m, b in enumerate(bands)]) for bands in terms
-        ]).reshape(3**dim, -1)
+        values = scratch = None
+        for bands in terms:
+            *lead, last = (factor(m, b) for m, b in enumerate(bands))
+            if values is None:
+                values = reduce(np.multiply, lead) * last
+            else:
+                scratch = np.multiply(reduce(np.multiply, lead), last, out=scratch)
+                values += scratch
+        del scratch  # before the merge below copies the rows
+        values = values.reshape(3**dim, -1)
         if self.offsets.size < values.shape[0]:  # merge the coinciding diagonals
             grouped = np.argsort(self.merge, kind="stable")
             starts = np.searchsorted(self.merge[grouped], np.arange(self.offsets.size))

@@ -169,8 +169,11 @@ class Operators:
     def __init__(self, mesh: StructuredMesh):
         self.mesh = mesh
         self.plan = fem.AssemblyPlan(mesh)
-        self.mass = fem.assemble_mass(mesh, self.plan)
+        # K first: its build needs a scratch array of its own size, which is
+        # freed before M, built without one, is allocated, so set-up peaks
+        # near the M and K it keeps
         self.stiffness = fem.assemble_stiffness(mesh, self.plan)
+        self.mass = fem.assemble_mass(mesh, self.plan)
         # integral of each basis function; masses are dot products with this
         self.mass_vector = self.mass.matvec(np.ones(mesh.n_nodes))
         # the band factors of the u and c systems, kept from sweep to sweep

@@ -1,6 +1,6 @@
 import time
 import tracemalloc
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -352,6 +352,67 @@ def test_assembly_memory_is_linear_in_the_nodes():
     assert all(f.offsets is plan.offsets and f.data.shape == forms[0].data.shape
                for f in forms)
     assert peak <= 2000 * mesh.n_nodes
+
+
+def _broadcast_kronecker_sum(plan, terms) -> np.ndarray:
+    """The diagonals of the sum of Kronecker products of ``terms`` as
+    plain numpy builds them: every term's broadcast product at full size,
+    axis by axis, then the terms summed left to right and the coinciding
+    diagonals merged, as ``AssemblyPlan.kronecker_sum`` documents."""
+    dim = plan.mesh.dim
+
+    def factor(m, band):
+        shape = [1] * (2 * dim)
+        shape[m], shape[dim + m] = band.shape
+        return band.reshape(shape)
+
+    values = reduce(np.add, [
+        reduce(np.multiply, [factor(m, b) for m, b in enumerate(bands)]) for bands in terms
+    ]).reshape(3**dim, -1)
+    if plan.offsets.size < values.shape[0]:
+        grouped = np.argsort(plan.merge, kind="stable")
+        starts = np.searchsorted(plan.merge[grouped], np.arange(plan.offsets.size))
+        values = np.add.reduceat(values[grouped], starts, axis=0)
+    return values
+
+
+KRONECKER_MESHES = {
+    "2d-1x1": (2, UNIT, (1, 1)),
+    "2d-32x32": (2, ((0.0, 20.0), (0.0, 13.0)), (32, 32)),
+    "3d-3x2x4": (3, ((0.0, 1.0), (-1.0, 1.5), (2.0, 6.0)), (3, 2, 4)),
+    "3d-2x1x3": (3, ((0.0, 1.0), (-1.0, 1.5), (2.0, 6.0)), (2, 1, 3)),  # merged offsets
+}
+
+
+@pytest.mark.parametrize("case", KRONECKER_MESHES.values(), ids=KRONECKER_MESHES.keys())
+def test_mass_and_stiffness_are_the_broadcast_sum_bit_for_bit(case):
+    # the in-place build keeps the order of every product and every sum
+    dim, extents, cells = case
+    mesh = build_structured_mesh(dim, extents, cells, 0)
+    plan = AssemblyPlan(mesh)
+    stiffness_terms = [
+        [s if m == d else b for m, (b, s) in enumerate(zip(plan.mass_bands, plan.stiff_bands))]
+        for d in range(dim)
+    ]
+    for built, terms in ((assemble_mass(mesh, plan), [plan.mass_bands]),
+                         (assemble_stiffness(mesh, plan), stiffness_terms)):
+        assert built.offsets is plan.offsets
+        assert built.data.tobytes() == _broadcast_kronecker_sum(plan, terms).tobytes()
+
+
+def test_stiffness_build_holds_one_scratch_array():
+    # K's three terms go through one scratch array of K's size and are added
+    # in place, so the build peaks near twice the K it returns, not at one
+    # full-size array per term plus their sum
+    mesh = build_structured_mesh(3, ((0.0, 20.0),) * 3, (24, 24, 24), 0)
+    plan = AssemblyPlan(mesh)
+    tracemalloc.start()
+    try:
+        k = assemble_stiffness(mesh, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * k.data.nbytes
 
 
 def test_assemble_rejects_mesh_mismatch():

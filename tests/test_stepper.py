@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -728,6 +729,18 @@ def test_u_system_accumulated_in_place_is_the_combination(case, mu, chi, dt_fact
     assert np.max(np.abs(a.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
     assert ops.mass.data.tobytes() == mass.tobytes()
     assert ops.stiffness.data.tobytes() == stiffness.tobytes()
+
+
+def test_operators_set_up_peaks_near_the_matrices_it_holds():
+    # K is built before M, so K's scratch array is freed before M exists
+    mesh = build_structured_mesh(3, ((0.0, 20.0),) * 3, (24, 24, 24), 0)
+    tracemalloc.start()
+    try:
+        ops = Operators(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (ops.mass.data.nbytes + ops.stiffness.data.nbytes)
 
 
 def test_c_solve_converges_with_mass_inverse_preconditioner(monkeypatch):
